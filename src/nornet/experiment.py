@@ -140,30 +140,27 @@ class ExperimentSummary:
     param_count_reduced: int
 
 
-# Worker-process state: networks are parsed once per worker instead of being
-# pickled into every task.
+# Worker-process state: each worker receives both networks once, through
+# its initializer, instead of with every task.
 _WORKER: dict = {}
 
 
-def _init_worker(full_text: str, reduced_text: str, method: str) -> None:
-    from .fileformat import parse_network
-
-    _WORKER["full"] = parse_network(full_text)
-    _WORKER["reduced"] = parse_network(reduced_text)
-    _WORKER["method"] = method
+def _init_worker(full: Network, reduced: Network, method: str) -> None:
+    _WORKER.update(full=full, reduced=reduced, method=method)
 
 
-def _eval_case(task):
-    case_id, evidence_by_phase = task
-    full = _WORKER["full"]
-    reduced = _WORKER["reduced"]
-    method = _WORKER["method"]
-    out = []
-    for evidence in evidence_by_phase:
-        full_post = posterior(full, evidence, method=method).posteriors
-        reduced_post = posterior(reduced, evidence, method=method).posteriors
-        out.append((full_post, reduced_post))
-    return case_id, out
+def _eval_in_worker(evidence_by_phase):
+    return _eval_case(evidence_by_phase, **_WORKER)
+
+
+def _eval_case(evidence_by_phase, full, reduced, method):
+    return [
+        (
+            posterior(full, evidence, method=method).posteriors,
+            posterior(reduced, evidence, method=method).posteriors,
+        )
+        for evidence in evidence_by_phase
+    ]
 
 
 def run_experiment(
@@ -186,25 +183,20 @@ def run_experiment(
     cases = generate_cases(full, n_cases, seed)
     diseases = sorted(n.id for n in full.nodes_of_kind(NodeKind.DISEASE))
 
-    tasks = []
-    for case in cases:
-        evidence_by_phase = [
-            dict(case.cumulative_evidence(phase)) for phase in PHASES
-        ]
-        tasks.append((case.case_id, evidence_by_phase))
-
+    tasks = [
+        [dict(case.cumulative_evidence(phase)) for phase in PHASES] for case in cases
+    ]
     if jobs <= 1:
-        _init_worker(_serialize(full), _serialize(reduced), method)
-        results = [_eval_case(task) for task in tasks]
-        _WORKER.clear()
+        results = [_eval_case(task, full, reduced, method) for task in tasks]
     else:
         with ProcessPoolExecutor(
             max_workers=jobs,
             initializer=_init_worker,
-            initargs=(_serialize(full), _serialize(reduced), method),
+            initargs=(full, reduced, method),
         ) as pool:
-            results = list(pool.map(_eval_case, tasks, chunksize=max(1, n_cases // (jobs * 4))))
-    results.sort(key=lambda item: item[0])
+            results = list(
+                pool.map(_eval_in_worker, tasks, chunksize=max(1, n_cases // (jobs * 4)))
+            )
 
     cells = []
     phase_rows = []
@@ -213,7 +205,7 @@ def run_experiment(
         pooled_three: list[float] = []
         for did in diseases:
             tp_two, tp_three, fp_two, fp_three = [], [], [], []
-            for case, (_, per_phase) in zip(cases, results):
+            for case, per_phase in zip(cases, results):
                 full_post, reduced_post = per_phase[phase - 1]
                 if case.true_diseases[did]:
                     tp_three.append(full_post[did])
@@ -265,16 +257,6 @@ def run_experiment(
         param_count_original=report.param_count_original,
         param_count_reduced=report.param_count_reduced,
     )
-
-
-def _serialize(net: Network) -> str:
-    """Worker-transport encoding; the name is irrelevant to the posteriors,
-    so names the file format would reject are substituted."""
-    from .fileformat import serialize_network
-
-    if not net.name or any(c.isspace() for c in net.name):
-        net = Network("net", net.nodes, net.edges)
-    return serialize_network(net)
 
 
 def _mean(values: list[float]) -> float | None:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 from .errors import DomainError, EvidenceError, IncompleteAssignmentError
 from .factors import Factor, min_degree_order, multiply, sum_out
-from .model import Network, NodeKind
+from .model import Network, NodeKind, row_prob
 
 DEFAULT_ENUMERATION_THRESHOLD = 20
 DEFAULT_MAX_FACTOR_PARENTS = 12
@@ -43,30 +43,20 @@ class PosteriorResult:
 def joint_prob(net: Network, full_assignment: Mapping) -> float:
     """Probability of one complete world (every node assigned)."""
     net.require_valid()
-    state = dict(full_assignment)
-    missing = [nid for nid in net.node_ids if nid not in state]
+    missing = [nid for nid in net.node_ids if nid not in full_assignment]
     if missing:
         raise IncompleteAssignmentError(
             f"assignment misses {len(missing)} node(s), e.g. {missing[0]!r}"
         )
-    for nid in state:
+    for nid in full_assignment:
         net.node(nid)
+    compiled = net.compiled
+    state = [full_assignment[nid] for nid in compiled.order]
     prob = 1.0
-    for nid in net.topological_order():
-        p = _prob_present(net, nid, state)
-        prob *= p if state[nid] else 1.0 - p
+    for row, value in zip(compiled.rows, state):
+        p = row_prob(row, state)
+        prob *= p if value else 1.0 - p
     return prob
-
-
-def _prob_present(net: Network, nid: str, state: Mapping) -> float:
-    node = net.node(nid)
-    if node.kind is NodeKind.DISEASE:
-        return float(node.prior)
-    acc = 1.0 - node.leak
-    for pid, eta in net.parents_of(nid):
-        if state[pid]:
-            acc *= 1.0 - eta
-    return 1.0 - acc
 
 
 def _normalize_assignment(net: Network, assignment: Mapping) -> dict[str, bool]:
@@ -92,51 +82,39 @@ def _prune_barren(net: Network, needed: set[str]) -> list[str]:
 
 
 def _enum_query(net, kept_order, fixed, track):
-    index = {nid: i for i, nid in enumerate(kept_order)}
-    plan = []
-    for nid in kept_order:
-        node = net.node(nid)
-        fval = fixed.get(nid)
-        if node.kind is NodeKind.DISEASE:
-            plan.append((fval, True, float(node.prior), ()))
-        else:
-            parents = tuple((index[pid], 1.0 - eta) for pid, eta in net.parents_of(nid))
-            plan.append((fval, False, 1.0 - node.leak, parents))
-    n = len(plan)
-    track_pos = [index[t] for t in track]
-    state = [False] * n
+    """Depth-first over the kept rows only. The state spans every row, but
+    rows outside ``kept_order`` are never read: barren pruning keeps every
+    ancestor of a kept node."""
+    index, rows = net.compiled.index, net.compiled.rows
+    steps = [(index[nid], fixed.get(nid)) for nid in kept_order]
+    n = len(steps)
+    track_rows = [index[t] for t in track]
+    state = [False] * len(rows)
     total = 0.0
-    masses = [0.0] * len(track_pos)
+    masses = [0.0] * len(track_rows)
 
-    def rec(i: int, w: float):
+    def rec(k: int, w: float):
         nonlocal total
-        if i == n:
+        if k == n:
             total += w
-            for k, pos in enumerate(track_pos):
-                if state[pos]:
-                    masses[k] += w
+            for m, i in enumerate(track_rows):
+                if state[i]:
+                    masses[m] += w
             return
-        fval, is_disease, base, parents = plan[i]
-        if is_disease:
-            p = base
-        else:
-            acc = base
-            for j, one_minus_eta in parents:
-                if state[j]:
-                    acc *= one_minus_eta
-            p = 1.0 - acc
+        i, fval = steps[k]
+        p = row_prob(rows[i], state)
         if fval is None:
             if p > 0.0:
                 state[i] = True
-                rec(i + 1, w * p)
+                rec(k + 1, w * p)
             if p < 1.0:
                 state[i] = False
-                rec(i + 1, w * (1.0 - p))
+                rec(k + 1, w * (1.0 - p))
         else:
             state[i] = fval
             nw = w * (p if fval else 1.0 - p)
             if nw != 0.0:
-                rec(i + 1, nw)
+                rec(k + 1, nw)
 
     rec(0, 1.0)
     return total, dict(zip(track, masses))
@@ -145,36 +123,38 @@ def _enum_query(net, kept_order, fixed, track):
 # -- variable elimination engine ----------------------------------------------
 
 
-def _node_factor(net, nid, fixed, max_factor_parents):
-    node = net.node(nid)
-    parents = net.parents_of(nid)
+def _node_factor(compiled, nid, fixed, state, max_factor_parents):
+    """The table of P(nid | parents) over its unfixed family. ``state`` is
+    indexed by row and already holds every fixed value; the scope rows are
+    overwritten cell by cell."""
+    i = compiled.index[nid]
+    row = compiled.rows[i]
+    parents = row[2]
     if len(parents) > max_factor_parents:
         raise DomainError(
             f"node {nid!r} has {len(parents)} parents; elimination materializes "
             f"full tables only up to {max_factor_parents} (see max_factor_parents)"
         )
-    family = [nid] + [pid for pid, _ in parents]
+    family = [nid] + [compiled.order[j] for j, _ in parents]
     scope = tuple(sorted(v for v in family if v not in fixed))
-    etas = dict(parents)
+    scope_rows = [compiled.index[v] for v in scope]
     values = [0.0] * (1 << len(scope))
     for idx in range(len(values)):
-        state = dict(fixed)
-        for bit, var in enumerate(scope):
-            state[var] = bool((idx >> bit) & 1)
-        if node.kind is NodeKind.DISEASE:
-            p = float(node.prior)
-        else:
-            acc = 1.0 - node.leak
-            for pid in etas:
-                if state[pid]:
-                    acc *= 1.0 - etas[pid]
-            p = 1.0 - acc
-        values[idx] = p if state[nid] else 1.0 - p
+        for bit, j in enumerate(scope_rows):
+            state[j] = (idx >> bit) & 1
+        p = row_prob(row, state)
+        values[idx] = p if state[i] else 1.0 - p
     return Factor(scope, values)
 
 
 def _ve_likelihood(net, kept_order, fixed, max_factor_parents):
-    factors = [_node_factor(net, nid, fixed, max_factor_parents) for nid in kept_order]
+    compiled = net.compiled
+    state = [False] * len(compiled.rows)
+    for nid, value in fixed.items():
+        state[compiled.index[nid]] = value
+    factors = [
+        _node_factor(compiled, nid, fixed, state, max_factor_parents) for nid in kept_order
+    ]
     hidden = sorted(nid for nid in kept_order if nid not in fixed)
     for var in min_degree_order(hidden, [f.scope for f in factors]):
         related = [f for f in factors if var in f.scope]

@@ -14,8 +14,10 @@ from __future__ import annotations
 
 import enum
 import heapq
-from collections.abc import Iterable, Mapping
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple
 
 from .errors import DomainError, IncompleteAssignmentError, ValidationError
 
@@ -181,21 +183,21 @@ class Network:
         self._children = children
         self._topo: tuple[str, ...] | None = None
         self._violations: tuple[Violation, ...] | None = None
-        # memo for derived read-only structure (sampling plans etc.);
-        # safe because the network never mutates
-        self._derived: dict = {}
 
     # -- structure accessors -------------------------------------------------
+    # Sorted on first access and kept, since the network never changes; not
+    # in the constructor, because most networks level reduction builds in
+    # passing never read some of them.
 
-    @property
+    @cached_property
     def node_ids(self) -> tuple[str, ...]:
         return tuple(sorted(self._nodes))
 
-    @property
+    @cached_property
     def nodes(self) -> tuple[Node, ...]:
-        return tuple(self._nodes[nid] for nid in sorted(self._nodes))
+        return tuple(self._nodes[nid] for nid in self.node_ids)
 
-    @property
+    @cached_property
     def edges(self) -> tuple[Edge, ...]:
         return tuple(self._edges[key] for key in sorted(self._edges))
 
@@ -252,6 +254,25 @@ class Network:
             self._topo = order
         return self._topo
 
+    @cached_property
+    def compiled(self) -> "CompiledNetwork":
+        """The network's noisy-OR semantics as flat rows, built once.
+
+        Only valid networks compile: callers check :meth:`require_valid`
+        first. Raises ValidationError if the edge relation has a cycle.
+        """
+        order = self.topological_order()
+        index = {nid: i for i, nid in enumerate(order)}
+        rows = []
+        for nid in order:
+            node = self._nodes[nid]
+            if node.kind is NodeKind.DISEASE:
+                rows.append((True, float(node.prior), ()))
+            else:
+                parents = tuple((index[pid], 1.0 - eta) for pid, eta in self._parents[nid])
+                rows.append((False, 1.0 - node.leak, parents))
+        return CompiledNetwork(order, index, tuple(rows))
+
     def _try_topological_order(self) -> tuple[str, ...] | None:
         indegree = {nid: len(self._parents[nid]) for nid in self._nodes}
         ready = [nid for nid, deg in indegree.items() if deg == 0]
@@ -283,6 +304,38 @@ class Network:
         if self._violations is None:
             self._violations = tuple(validate(self))
         return self._violations
+
+
+class CompiledNetwork(NamedTuple):
+    """A network's leaky noisy-OR semantics, flattened for evaluation.
+
+    ``order`` holds the node ids in topological order (ascending-id tie
+    break) and ``index`` maps each id to its position there, its row.
+    ``rows[i]`` is ``(is_disease, base, parents)`` for node ``order[i]``:
+    ``base`` is the prior of a disease and ``1 - leak`` of any other node,
+    and ``parents`` holds ``(row, 1 - eta)`` pairs in ascending parent-id
+    order, every parent row before its child's. Sampling, ``joint_prob``,
+    enumeration and factor building all evaluate rows through
+    :func:`row_prob`, so they multiply the same doubles in the same order
+    and agree bit for bit.
+    """
+
+    order: tuple[str, ...]
+    index: dict[str, int]
+    rows: tuple[tuple[bool, float, tuple[tuple[int, float], ...]], ...]
+
+
+def row_prob(row: tuple, state: Sequence) -> float:
+    """P(node present) for one :class:`CompiledNetwork` row, given
+    ``state`` indexed by row, whose entries for the row's parents are set
+    (truthy means present). A disease returns its prior as is."""
+    is_disease, base, parents = row
+    if is_disease:
+        return base
+    for j, one_minus_eta in parents:
+        if state[j]:
+            base *= one_minus_eta
+    return 1.0 - base
 
 
 def validate(net: Network) -> list[Violation]:

@@ -8,51 +8,17 @@ world for a given (network, seed) pair is therefore bit-for-bit stable.
 
 from __future__ import annotations
 
-from .model import Assignment, Network, NodeKind
+from .model import Assignment, Network, row_prob
 from .rng import SplitMix64
-
-
-def _plan(net: Network):
-    """Flatten the network into (id, is_disease, base, parents) tuples where
-    ``base`` is the prior for diseases and (1 - leak) otherwise, and parents
-    are (plan index, 1 - eta) pairs."""
-    plan = net._derived.get("sampling_plan")
-    if plan is None:
-        order = net.topological_order()
-        index = {nid: i for i, nid in enumerate(order)}
-        plan = []
-        for nid in order:
-            node = net.node(nid)
-            if node.kind is NodeKind.DISEASE:
-                plan.append((nid, True, float(node.prior), ()))
-            else:
-                parents = tuple(
-                    (index[pid], 1.0 - eta) for pid, eta in net.parents_of(nid)
-                )
-                plan.append((nid, False, 1.0 - node.leak, parents))
-        net._derived["sampling_plan"] = plan
-    return plan
 
 
 def sample_world(net: Network, seed: int) -> Assignment:
     """Draw one complete world: diseases from their priors, every other
     node from its leaky noisy-OR given the already-sampled parents."""
     net.require_valid()
-    plan = _plan(net)
-    rng = SplitMix64(seed)
-    next_float = rng.next_float
-    states = [False] * len(plan)
-    values = {}
-    for i, (nid, is_disease, base, parents) in enumerate(plan):
-        if is_disease:
-            p = base
-        else:
-            acc = base
-            for j, one_minus_eta in parents:
-                if states[j]:
-                    acc *= one_minus_eta
-            p = 1.0 - acc
-        v = next_float() < p
-        states[i] = v
-        values[nid] = v
-    return Assignment(values)
+    compiled = net.compiled
+    next_float = SplitMix64(seed).next_float
+    states = [False] * len(compiled.rows)
+    for i, row in enumerate(compiled.rows):
+        states[i] = next_float() < row_prob(row, states)
+    return Assignment(zip(compiled.order, states))

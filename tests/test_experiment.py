@@ -1,3 +1,5 @@
+import pickle
+
 import pytest
 
 import oracle
@@ -12,6 +14,7 @@ from nornet import (
     generate_cases,
     generate_network,
     ips,
+    posterior,
     report_csv,
     run_experiment,
 )
@@ -145,9 +148,24 @@ class TestRunExperiment:
     def test_network_name_with_spaces_still_runs(self):
         base = _toy_two_phase_chain()
         spacey = Network("two words", base.nodes, base.edges)
-        summary = run_experiment(spacey, 5, seed=0)
-        assert summary.network_name == "two words"
-        assert len(summary.cells) == 5
+        serial = run_experiment(spacey, 5, seed=0, jobs=1)
+        parallel = run_experiment(spacey, 5, seed=0, jobs=2)
+        for summary in (serial, parallel):
+            assert summary.network_name == "two words"
+            assert len(summary.cells) == 5
+        assert report_csv(serial) == report_csv(parallel)
+
+    def test_network_with_cached_compiled_form_survives_pickle(self):
+        # worker processes receive networks pickled, caches included
+        net = generate_network(GeneratorConfig(2, 3, 10, seed=6))
+        evidence = dict(generate_cases(net, 1, seed=6)[0].cumulative_evidence(3))
+        methods = ("enumeration", "elimination")
+        results = {m: posterior(net, evidence, method=m) for m in methods}
+        assert "compiled" in vars(net)
+        copy = pickle.loads(pickle.dumps(net))
+        assert copy == net
+        for m in methods:
+            assert posterior(copy, evidence, method=m) == results[m]
 
     def test_serial_and_parallel_runs_agree_byte_for_byte(self):
         net = generate_network(GeneratorConfig(2, 3, 10, seed=6))

@@ -1,0 +1,73 @@
+"""Import discipline of the package, read from its source with ``ast``.
+
+The package is stdlib-only at runtime, imports at module level only, and
+its modules import one another without cycles.
+"""
+
+import ast
+import sys
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "nornet"
+MODULES = {path.stem: ast.parse(path.read_text(), str(path)) for path in PACKAGE.glob("*.py")}
+
+
+def _imports(tree):
+    """(absolute top-level name or None, package modules) per import
+    statement; relative imports have no top-level name."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.name.split(".")[0], set()
+        elif isinstance(node, ast.ImportFrom):
+            if node.level == 0:
+                yield node.module.split(".")[0], set()
+            elif node.module:
+                yield None, {node.module.split(".")[0]}
+            else:
+                names = {a.name for a in node.names}
+                yield None, {n for n in names if n in MODULES} or {"__init__"}
+
+
+def test_modules_found():
+    assert {"model", "inference", "experiment", "fileformat"} <= set(MODULES)
+
+
+def test_every_import_is_stdlib_or_in_package():
+    outside = sorted(
+        f"{module}: {name}"
+        for module, tree in MODULES.items()
+        for name, _ in _imports(tree)
+        if name is not None and name != "nornet" and name not in sys.stdlib_module_names
+    )
+    assert outside == []
+
+
+def test_no_import_inside_a_function():
+    nested = []
+    for module, tree in MODULES.items():
+        for func in ast.walk(tree):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for node in ast.walk(func):
+                    if isinstance(node, (ast.Import, ast.ImportFrom)):
+                        nested.append(f"{module}.{func.name} line {node.lineno}")
+    assert nested == []
+
+
+def test_package_imports_are_acyclic():
+    graph = {
+        module: set().union(*(deps for _, deps in _imports(tree)))
+        for module, tree in MODULES.items()
+    }
+    done: set[str] = set()
+
+    def visit(module, path):
+        assert module not in path, "import cycle: " + " -> ".join(path + [module])
+        if module in done:
+            return
+        for dep in sorted(graph[module]):
+            visit(dep, path + [module])
+        done.add(module)
+
+    for module in sorted(graph):
+        visit(module, [])

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 import oracle
@@ -9,12 +11,14 @@ from nornet import (
     EvidenceError,
     IncompleteAssignmentError,
     Network,
+    NodeKind,
     SplitMix64,
     disease,
     event_prob,
     finding,
     generate_network,
     GeneratorConfig,
+    ips,
     joint_prob,
     marginal,
     posterior,
@@ -276,3 +280,60 @@ class TestEventProb:
             enum = event_prob(net, event, method="enumeration")
             elim = event_prob(net, event, method="elimination")
             assert elim == pytest.approx(enum, rel=1e-12)
+
+
+class TestDegenerateParameterSweep:
+    """Both engines and joint_prob against the oracle on small random
+    networks whose parameters include the edge values 0 and 1."""
+
+    ETAS = (0.5, 0.9, 1.0)
+    LEAKS = (0.0, 0.1, 1.0)
+    PRIORS = (0.0, 0.3, 1.0)
+    ENGINES = ("enumeration", "elimination")
+
+    def _net(self, rng, k):
+        diseases = [disease(f"d{i}", rng.choice(self.PRIORS)) for i in range(rng.randint(1, 2))]
+        hidden = [ips(f"i{i}", rng.choice(self.LEAKS)) for i in range(rng.randint(0, 2))]
+        findings = [
+            finding(f"f{i}", rng.choice(self.LEAKS), rng.randint(1, 5))
+            for i in range(rng.randint(1, 3))
+        ]
+        sources = [n.id for n in diseases]
+        edges = []
+        for node in hidden + findings:
+            for src in rng.sample(sources, min(len(sources), rng.randint(0, 2))):
+                edges.append(Edge(src, node.id, rng.choice(self.ETAS)))
+            if node.kind is NodeKind.IPS:
+                sources.append(node.id)
+        return Network(f"sweep{k}", diseases + hidden + findings, edges)
+
+    def test_engines_and_joint_match_oracle(self):
+        rng = random.Random(2013)
+        wrong = []
+        for k in range(200):
+            net = self._net(rng, k)
+            ids = net.node_ids
+            world = {nid: rng.random() < 0.5 for nid in ids}
+            if abs(joint_prob(net, world) - oracle.world_prob(net, world)) > 1e-10:
+                wrong.append((k, "joint_prob"))
+            event = {nid: rng.random() < 0.5 for nid in ids if rng.random() < 0.5}
+            want = oracle.event_prob(net, event)
+            findings = [n.id for n in net.nodes_of_kind(NodeKind.FINDING)]
+            evidence = {fid: rng.random() < 0.5 for fid in findings if rng.random() < 0.7}
+            z = oracle.event_prob(net, evidence)
+            for method in self.ENGINES:
+                if abs(event_prob(net, event, method=method) - want) > 1e-10:
+                    wrong.append((k, method, "event_prob"))
+                try:
+                    result = posterior(net, evidence, method=method)
+                except EvidenceError:
+                    if z != 0.0:
+                        wrong.append((k, method, "false EvidenceError"))
+                    continue
+                if z == 0.0 or abs(result.evidence_likelihood - z) > 1e-10:
+                    wrong.append((k, method, "evidence likelihood"))
+                    continue
+                for did, value in result.posteriors.items():
+                    if abs(value - oracle.posterior(net, did, evidence)) > 1e-10:
+                        wrong.append((k, method, did))
+        assert wrong == []
