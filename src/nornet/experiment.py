@@ -145,19 +145,19 @@ class ExperimentSummary:
 _WORKER: dict = {}
 
 
-def _init_worker(full: Network, reduced: Network, method: str) -> None:
-    _WORKER.update(full=full, reduced=reduced, method=method)
+def _init_worker(full: Network, reduced: Network) -> None:
+    _WORKER.update(full=full, reduced=reduced)
 
 
 def _eval_in_worker(evidence_by_phase):
     return _eval_case(evidence_by_phase, **_WORKER)
 
 
-def _eval_case(evidence_by_phase, full, reduced, method):
+def _eval_case(evidence_by_phase, full, reduced):
     return [
         (
-            posterior(full, evidence, method=method).posteriors,
-            posterior(reduced, evidence, method=method).posteriors,
+            posterior(full, evidence, method="elimination").posteriors,
+            posterior(reduced, evidence, method="elimination").posteriors,
         )
         for evidence in evidence_by_phase
     ]
@@ -169,11 +169,10 @@ def run_experiment(
     seed: int,
     *,
     jobs: int = 1,
-    method: str = "elimination",
 ) -> ExperimentSummary:
     """Run the full comparison protocol on one network.
 
-    Inference defaults to variable elimination: the experiment evaluates
+    Inference uses variable elimination: the experiment evaluates
     thousands of queries, and the engines agree to within 1e-10 anyway
     (enforced by the test suite).
     """
@@ -187,12 +186,12 @@ def run_experiment(
         [dict(case.cumulative_evidence(phase)) for phase in PHASES] for case in cases
     ]
     if jobs <= 1:
-        results = [_eval_case(task, full, reduced, method) for task in tasks]
+        results = [_eval_case(task, full, reduced) for task in tasks]
     else:
         with ProcessPoolExecutor(
             max_workers=jobs,
             initializer=_init_worker,
-            initargs=(full, reduced, method),
+            initargs=(full, reduced),
         ) as pool:
             results = list(
                 pool.map(_eval_in_worker, tasks, chunksize=max(1, n_cases // (jobs * 4)))

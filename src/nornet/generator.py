@@ -109,8 +109,9 @@ def generate_network(cfg: GeneratorConfig) -> Network:
             for _ in range(want):
                 dst = pool.pop(rng.randint(0, len(pool) - 1))
                 add_edge(iid, dst)
+        has_parent = {dst for _, dst in edges}
         for fid in f_ids:
-            if not any(dst == fid for _, dst in edges):
+            if fid not in has_parent:
                 add_edge(i_ids[rng.randint(0, len(i_ids) - 1)], fid)
     else:
         for fid in f_ids:

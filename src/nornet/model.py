@@ -185,9 +185,7 @@ class Network:
         self._violations: tuple[Violation, ...] | None = None
 
     # -- structure accessors -------------------------------------------------
-    # Sorted on first access and kept, since the network never changes; not
-    # in the constructor, because most networks level reduction builds in
-    # passing never read some of them.
+    # Sorted on first access and kept, since the network never changes.
 
     @cached_property
     def node_ids(self) -> tuple[str, ...]:

@@ -58,36 +58,53 @@ def eliminate_ips(net: Network, b: str) -> Network:
     node = net.node(b)
     if node.kind is not NodeKind.IPS:
         raise DomainError(f"{b!r} is a {node.kind.value} node, not an intermediate")
-    preds = net.parents_of(b)
-    succs = [(sid, net.edge(b, sid).eta) for sid in net.children_of(b)]
+    if net.edge(b, b) is not None:
+        raise DomainError(f"{b!r} feeds itself, so it cannot be eliminated")
+    state = _Rewiring(net)
+    state.eliminate(b)
+    return state.network(net.name)
 
-    new_nodes = []
-    new_leaks = {}
-    for sid, q in succs:
-        new_leaks[sid] = absorb_leak(node.leak, q, net.node(sid).leak)
-    for n in net.nodes:
-        if n.id == b:
-            continue
-        if n.id in new_leaks:
-            new_nodes.append(replace(n, leak=new_leaks[n.id]))
-        else:
-            new_nodes.append(n)
 
-    etas: dict[tuple[str, str], float] = {}
-    for edge in net.edges:
-        if edge.src == b or edge.dst == b:
-            continue
-        etas[(edge.src, edge.dst)] = edge.eta
-    for pid, p in preds:
-        for sid, q in succs:
-            composed = compose_serial(p, q)
-            existing = etas.get((pid, sid))
-            if existing is None:
-                etas[(pid, sid)] = composed
-            else:
-                etas[(pid, sid)] = merge_parallel([existing, composed])
-    new_edges = [Edge(src, dst, eta) for (src, dst), eta in sorted(etas.items())]
-    return Network(net.name, new_nodes, new_edges)
+class _Rewiring:
+    """A network's nodes and edges, open to in-place elimination.
+
+    ``edges`` maps ``(src, dst)`` to ``(eta, paths)``, where ``paths``
+    lists the ``(original path, composed eta)`` pairs the edge stands for;
+    ``parents`` and ``children`` index the same edges by node.
+    """
+
+    def __init__(self, net: Network):
+        self.nodes = {n.id: n for n in net.nodes}
+        self.edges = {(e.src, e.dst): (e.eta, [((e.src, e.dst), e.eta)]) for e in net.edges}
+        self.parents = {nid: {pid for pid, _ in net.parents_of(nid)} for nid in self.nodes}
+        self.children = {nid: set(net.children_of(nid)) for nid in self.nodes}
+
+    def eliminate(self, b: str) -> None:
+        """Remove intermediate ``b``: absorb its current leak into every
+        successor, then rewire every predecessor to every successor, both
+        in ascending id order."""
+        rho_b = self.nodes.pop(b).leak
+        ins = [(pid, self.edges.pop((pid, b))) for pid in sorted(self.parents.pop(b))]
+        outs = [(sid, self.edges.pop((b, sid))) for sid in sorted(self.children.pop(b))]
+        for sid, (q, _) in outs:
+            self.parents[sid].remove(b)
+            node = self.nodes[sid]
+            self.nodes[sid] = replace(node, leak=absorb_leak(rho_b, q, node.leak))
+        for pid, (p, in_paths) in ins:
+            self.children[pid].remove(b)
+            for sid, (q, out_paths) in outs:
+                composed = compose_serial(p, q)
+                paths = [(pp + sp[1:], pe * se) for pp, pe in in_paths for sp, se in out_paths]
+                if (pid, sid) in self.edges:
+                    eta, merged_paths = self.edges[(pid, sid)]
+                    composed, paths = merge_parallel([eta, composed]), merged_paths + paths
+                self.edges[(pid, sid)] = (composed, paths)
+                self.parents[sid].add(pid)
+                self.children[pid].add(sid)
+
+    def network(self, name: str) -> Network:
+        edges = [Edge(src, dst, eta) for (src, dst), (eta, _) in sorted(self.edges.items())]
+        return Network(name, self.nodes.values(), edges)
 
 
 @dataclass(frozen=True)
@@ -136,42 +153,19 @@ def level_reduce(net: Network) -> ReductionReport:
         nid for nid in net.topological_order()
         if net.node(nid).kind is NodeKind.IPS
     ]
-    # per-edge origin bookkeeping in the fully original network
-    paths: dict[tuple[str, str], list[tuple[tuple[str, ...], float]]] = {
-        (e.src, e.dst): [((e.src, e.dst), e.eta)] for e in net.edges
-    }
-    current = net
+    state = _Rewiring(net)
     for b in ips_order:
-        preds = [pid for pid, _ in current.parents_of(b)]
-        succs = current.children_of(b)
-        for pid in preds:
-            for sid in succs:
-                combined = [
-                    (pp + sp[1:], pe * se)
-                    for pp, pe in paths[(pid, b)]
-                    for sp, se in paths[(b, sid)]
-                ]
-                paths.setdefault((pid, sid), []).extend(combined)
-        for pid in preds:
-            del paths[(pid, b)]
-        for sid in succs:
-            del paths[(b, sid)]
-        current = eliminate_ips(current, b)
+        state.eliminate(b)
+    reduced = state.network(net.name)
     provenance = []
-    for edge in current.edges:
-        entries = sorted(paths[(edge.src, edge.dst)])
-        provenance.append(
-            PathProvenance(
-                (edge.src, edge.dst),
-                tuple(p for p, _ in entries),
-                tuple(eta for _, eta in entries),
-            )
-        )
+    for reduced_edge, (_, paths) in sorted(state.edges.items()):
+        source_paths, composed_etas = zip(*sorted(paths))
+        provenance.append(PathProvenance(reduced_edge, source_paths, composed_etas))
     return ReductionReport(
-        reduced=current,
+        reduced=reduced,
         provenance=tuple(provenance),
         param_count_original=_param_count(net),
-        param_count_reduced=_param_count(current),
+        param_count_reduced=_param_count(reduced),
         eliminated_ips_order=tuple(ips_order),
     )
 

@@ -1,3 +1,6 @@
+import functools
+import hashlib
+
 import pytest
 
 import oracle
@@ -5,6 +8,7 @@ from conftest import chain_net, diamond_net, fork_net, random_unit_fan_net
 from nornet import (
     DomainError,
     Edge,
+    GeneratorConfig,
     Network,
     NodeKind,
     SplitMix64,
@@ -14,11 +18,33 @@ from nornet import (
     eliminate_ips,
     event_prob,
     finding,
+    generate_network,
     ips,
     level_reduce,
     merge_parallel,
     posterior,
+    provenance_csv,
+    serialize_network,
 )
+from nornet import reduction
+
+
+def chained_net(seed):
+    """Generated network with chained intermediates, fan 1..4 and leaks up
+    to 0.3, so eliminations compose paths, merge parallel routes and
+    absorb leaks that earlier eliminations already changed."""
+    return generate_network(
+        GeneratorConfig(
+            3 + seed % 3,
+            6 + seed % 7,
+            12 + seed % 9,
+            fan_in_range=(1, 4),
+            fan_out_range=(1, 4),
+            ips_chain_prob=0.5,
+            leak_range=(0.0, 0.3),
+            seed=seed,
+        )
+    )
 
 
 class TestPrimitives:
@@ -105,6 +131,25 @@ class TestEliminateIps:
         assert out.node("c").leak == pytest.approx(1 - (1 - 0.15) * (1 - 0.2))
         assert oracle.all_marginals(out)["c"] == pytest.approx(before, abs=1e-15)
 
+    def test_invalid_networks(self):
+        # a cycle through b becomes a self-loop on c; a self-loop on b
+        # itself has no rewiring and is rejected
+        net = Network(
+            "cycle",
+            [disease("a", 0.2), ips("b", 0.1), ips("c", 0.2)],
+            [Edge("a", "b", 0.5), Edge("c", "b", 0.5), Edge("b", "c", 0.4)],
+        )
+        out = eliminate_ips(net, "b")
+        assert out.edge("c", "c").eta == 0.5 * 0.4
+        assert out.node("c").leak == absorb_leak(0.1, 0.4, 0.2)
+        loop = Network(
+            "loop",
+            [disease("a", 0.2), ips("b"), finding("c", 0.0, 1)],
+            [Edge("a", "b", 0.5), Edge("b", "b", 0.5), Edge("b", "c", 0.4)],
+        )
+        with pytest.raises(DomainError):
+            eliminate_ips(loop, "b")
+
 
 class TestLevelReduce:
     def test_zero_ips_network_is_fixed_point(self):
@@ -185,6 +230,38 @@ class TestLevelReduce:
         (entry,) = report.provenance
         assert entry.source_paths == (("a", "b", "c"), ("a", "c"))
         assert entry.composed_etas == pytest.approx((0.2, 0.3))
+
+    def test_equals_successive_eliminations(self):
+        for seed in range(20):
+            net = chained_net(seed)
+            report = level_reduce(net)
+            assert report.reduced == functools.reduce(
+                eliminate_ips, report.eliminated_ips_order, net
+            )
+
+    def test_reduced_file_and_provenance_are_pinned(self):
+        # recorded when level_reduce still built a network per intermediate
+        report = level_reduce(chained_net(11))
+        text = serialize_network(report.reduced) + provenance_csv(report)
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "9a856e846cb884a067fcc63bd3372b88da8bf342b8e41e7dff62b3fae96d33d6"
+        )
+
+    def test_builds_one_network(self, monkeypatch):
+        built = []
+
+        class CountingNetwork(Network):
+            def __init__(self, *args):
+                built.append(args[0])
+                super().__init__(*args)
+
+        monkeypatch.setattr(reduction, "Network", CountingNetwork)
+        for seed in (0, 11):
+            net = chained_net(seed)
+            built.clear()
+            report = level_reduce(net)
+            assert len(report.eliminated_ips_order) > 1
+            assert built == [net.name]
 
     def test_invalid_network_rejected(self):
         from nornet import ValidationError
