@@ -234,7 +234,9 @@ def _evidence(token: str) -> dict[str, bool]:
         nid, sep, value = item.partition("=")
         if not sep or value not in ("0", "1"):
             raise argparse.ArgumentTypeError(f"expected id=0|1, got {item!r}")
-        out[nid] = value == "1"
+        present = value == "1"
+        if out.setdefault(nid, present) != present:
+            raise argparse.ArgumentTypeError(f"conflicting values for {nid!r}")
     return out
 
 

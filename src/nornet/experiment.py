@@ -18,7 +18,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from collections.abc import Mapping
 
-from .errors import DegenerateVarianceError, ExhaustionError
+from .errors import DegenerateVarianceError, DomainError, ExhaustionError
 from .inference import posterior
 from .model import Assignment, Network, NodeKind, PHASES
 from .reduction import level_reduce
@@ -59,7 +59,7 @@ def generate_cases(
     """
     net.require_valid()
     if n_cases < 1:
-        raise ExhaustionError("n_cases must be at least 1")
+        raise DomainError(f"n_cases must be at least 1, got {n_cases}")
     diseases = [n.id for n in net.nodes_of_kind(NodeKind.DISEASE)]
     findings = net.nodes_of_kind(NodeKind.FINDING)
     if require_positive and all(n.prior == 0.0 for n in net.nodes_of_kind(NodeKind.DISEASE)):

@@ -1,4 +1,5 @@
-"""Dense factors over binary variables, plus min-degree elimination ordering.
+"""Dense factors over binary variables: the sum-product step of variable
+elimination, plus min-degree elimination ordering.
 
 A factor stores its scope as a sorted tuple of node ids and its table as a
 flat list of 2**k floats; bit i of a table index is the state of scope
@@ -20,36 +21,29 @@ class Factor:
         return f"Factor({self.scope}, {len(self.values)} entries)"
 
 
-def multiply(f: Factor, g: Factor) -> Factor:
-    if not f.scope:
-        return Factor(g.scope, [v * f.values[0] for v in g.values])
-    if not g.scope:
-        return Factor(f.scope, [v * g.values[0] for v in f.values])
-    scope = tuple(sorted(set(f.scope) | set(g.scope)))
-    f_pos = [scope.index(v) for v in f.scope]
-    g_pos = [scope.index(v) for v in g.scope]
-    fv, gv = f.values, g.values
-    out = [0.0] * (1 << len(scope))
-    for idx in range(len(out)):
-        fi = 0
-        for bit, pos in enumerate(f_pos):
-            fi |= ((idx >> pos) & 1) << bit
-        gi = 0
-        for bit, pos in enumerate(g_pos):
-            gi |= ((idx >> pos) & 1) << bit
-        out[idx] = fv[fi] * gv[gi]
-    return Factor(scope, out)
-
-
-def sum_out(f: Factor, var: str) -> Factor:
-    pos = f.scope.index(var)
-    scope = f.scope[:pos] + f.scope[pos + 1 :]
-    low_mask = (1 << pos) - 1
-    values = f.values
-    out = [0.0] * (1 << len(scope))
-    for idx in range(len(out)):
-        base = (idx & low_mask) | ((idx & ~low_mask) << 1)
-        out[idx] = values[base] + values[base | (1 << pos)]
+def sum_product(factors: list[Factor], var: str) -> Factor:
+    """Multiply ``factors``, every one of which mentions ``var``, and sum
+    ``var`` out in one pass. Each output cell is ``p0 + p1``: the products of
+    the factors' entries in list order with ``var`` absent and present."""
+    scope = tuple(sorted({v for f in factors for v in f.scope} - {var}))
+    maps = [
+        (
+            [(bit, scope.index(v)) for bit, v in enumerate(f.scope) if v != var],
+            1 << f.scope.index(var),
+            f.values,
+        )
+        for f in factors
+    ]
+    out = []
+    for idx in range(1 << len(scope)):
+        p0 = p1 = 1.0
+        for bits, var_bit, values in maps:
+            i = 0
+            for bit, pos in bits:
+                i |= ((idx >> pos) & 1) << bit
+            p0 *= values[i]
+            p1 *= values[i | var_bit]
+        out.append(p0 + p1)
     return Factor(scope, out)
 
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 import io
 from collections.abc import Iterable
 
-from .errors import DomainError, ParseError, ValidationError
+from .errors import DomainError, ParseError
 from .experiment import ExperimentSummary, TestCase
 from .model import Edge, Network, Node, NodeKind, PHASES
 from .reduction import ReductionReport
@@ -86,15 +86,7 @@ def parse_network(text: str, require_valid: bool = True) -> Network:
     if name is None:
         raise ParseError(1, "empty file: missing header")
     net = Network(name, nodes.values(), edges.values())
-    if require_valid:
-        violations = net.violations()
-        if violations:
-            raise ValidationError(
-                f"parsed network has {len(violations)} violation(s): "
-                + "; ".join(str(v) for v in violations[:3]),
-                violations,
-            )
-    return net
+    return net.require_valid() if require_valid else net
 
 
 def _parse_node(lineno, tokens, nodes):

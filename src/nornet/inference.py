@@ -13,7 +13,9 @@ Both engines first drop barren leaves (nodes with no observed or queried
 descendants); marginalizing such a node multiplies the joint by exactly 1,
 so the answers are unchanged while partial-evidence queries stay feasible.
 The ``auto`` method enumerates whenever the pruned unobserved count is at
-most ``enumeration_threshold`` and eliminates otherwise.
+most ``DEFAULT_ENUMERATION_THRESHOLD`` and eliminates otherwise. Elimination
+builds full tables only for nodes with at most ``DEFAULT_MAX_FACTOR_PARENTS``
+parents.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 
 from .errors import DomainError, EvidenceError, IncompleteAssignmentError
-from .factors import Factor, min_degree_order, multiply, sum_out
+from .factors import Factor, min_degree_order, sum_product
 from .model import Network, NodeKind, row_prob
 
 DEFAULT_ENUMERATION_THRESHOLD = 20
@@ -123,17 +125,17 @@ def _enum_query(net, kept_order, fixed, track):
 # -- variable elimination engine ----------------------------------------------
 
 
-def _node_factor(compiled, nid, fixed, state, max_factor_parents):
+def _node_factor(compiled, nid, fixed, state):
     """The table of P(nid | parents) over its unfixed family. ``state`` is
     indexed by row and already holds every fixed value; the scope rows are
     overwritten cell by cell."""
     i = compiled.index[nid]
     row = compiled.rows[i]
     parents = row[2]
-    if len(parents) > max_factor_parents:
+    if len(parents) > DEFAULT_MAX_FACTOR_PARENTS:
         raise DomainError(
             f"node {nid!r} has {len(parents)} parents; elimination materializes "
-            f"full tables only up to {max_factor_parents} (see max_factor_parents)"
+            f"full tables only up to {DEFAULT_MAX_FACTOR_PARENTS} parents"
         )
     family = [nid] + [compiled.order[j] for j, _ in parents]
     scope = tuple(sorted(v for v in family if v not in fixed))
@@ -147,22 +149,17 @@ def _node_factor(compiled, nid, fixed, state, max_factor_parents):
     return Factor(scope, values)
 
 
-def _ve_likelihood(net, kept_order, fixed, max_factor_parents):
+def _ve_likelihood(net, kept_order, fixed):
     compiled = net.compiled
     state = [False] * len(compiled.rows)
     for nid, value in fixed.items():
         state[compiled.index[nid]] = value
-    factors = [
-        _node_factor(compiled, nid, fixed, state, max_factor_parents) for nid in kept_order
-    ]
+    factors = [_node_factor(compiled, nid, fixed, state) for nid in kept_order]
     hidden = sorted(nid for nid in kept_order if nid not in fixed)
     for var in min_degree_order(hidden, [f.scope for f in factors]):
         related = [f for f in factors if var in f.scope]
         factors = [f for f in factors if var not in f.scope]
-        prod = related[0]
-        for f in related[1:]:
-            prod = multiply(prod, f)
-        factors.append(sum_out(prod, var))
+        factors.append(sum_product(related, var))
     result = 1.0
     for f in factors:
         result *= f.values[0]
@@ -172,54 +169,38 @@ def _ve_likelihood(net, kept_order, fixed, max_factor_parents):
 # -- shared dispatch ------------------------------------------------------------
 
 
-def _query(net, fixed, track, method, enumeration_threshold, max_factor_parents):
+def _query(net, fixed, track, method):
     """P(fixed assignment) and, per tracked node, P(node present AND fixed)."""
     net.require_valid()
     kept = _prune_barren(net, set(fixed) | set(track))
     unobserved = len(kept) - len(fixed)
     if method == "auto":
-        method = "enumeration" if unobserved <= enumeration_threshold else "elimination"
+        method = "enumeration" if unobserved <= DEFAULT_ENUMERATION_THRESHOLD else "elimination"
     if method == "enumeration":
         return _enum_query(net, kept, fixed, track)
     if method == "elimination":
-        total = _ve_likelihood(net, kept, fixed, max_factor_parents)
+        total = _ve_likelihood(net, kept, fixed)
         masses = {}
         for t in track:
             if t in fixed:
                 masses[t] = total if fixed[t] else 0.0
             else:
-                masses[t] = _ve_likelihood(net, kept, {**fixed, t: True}, max_factor_parents)
+                masses[t] = _ve_likelihood(net, kept, {**fixed, t: True})
         return total, masses
     raise DomainError(f"unknown inference method {method!r}")
 
 
-def event_prob(
-    net: Network,
-    assignment: Mapping,
-    *,
-    method: str = "auto",
-    enumeration_threshold: int = DEFAULT_ENUMERATION_THRESHOLD,
-    max_factor_parents: int = DEFAULT_MAX_FACTOR_PARENTS,
-) -> float:
+def event_prob(net: Network, assignment: Mapping, *, method: str = "auto") -> float:
     """Probability of a partial assignment over any subset of nodes."""
     fixed = _normalize_assignment(net, assignment)
-    total, _ = _query(net, fixed, (), method, enumeration_threshold, max_factor_parents)
+    total, _ = _query(net, fixed, (), method)
     return total
 
 
-def marginal(
-    net: Network,
-    node_id: str,
-    *,
-    method: str = "auto",
-    enumeration_threshold: int = DEFAULT_ENUMERATION_THRESHOLD,
-    max_factor_parents: int = DEFAULT_MAX_FACTOR_PARENTS,
-) -> float:
+def marginal(net: Network, node_id: str, *, method: str = "auto") -> float:
     """Exact P(node present) with no evidence."""
     net.node(node_id)
-    total, masses = _query(
-        net, {}, (node_id,), method, enumeration_threshold, max_factor_parents
-    )
+    total, masses = _query(net, {}, (node_id,), method)
     return _clamp01(masses[node_id] / total)
 
 
@@ -229,8 +210,6 @@ def posterior(
     *,
     conjunction: Iterable[str] | None = None,
     method: str = "auto",
-    enumeration_threshold: int = DEFAULT_ENUMERATION_THRESHOLD,
-    max_factor_parents: int = DEFAULT_MAX_FACTOR_PARENTS,
 ) -> PosteriorResult:
     """Exact P(disease present | evidence) for every disease.
 
@@ -242,9 +221,7 @@ def posterior(
         if net.node(nid).kind is not NodeKind.FINDING:
             raise DomainError(f"evidence node {nid!r} is not a finding")
     diseases = tuple(n.id for n in net.nodes_of_kind(NodeKind.DISEASE))
-    total, masses = _query(
-        net, fixed, diseases, method, enumeration_threshold, max_factor_parents
-    )
+    total, masses = _query(net, fixed, diseases, method)
     if total <= 0.0:
         raise EvidenceError("evidence has zero probability under this network")
     posteriors = {d: _clamp01(masses[d] / total) for d in diseases}
@@ -257,9 +234,7 @@ def posterior(
                 raise DomainError(f"conjunction node {nid!r} is observed absent")
         conj_fixed = dict(fixed)
         conj_fixed.update({nid: True for nid in conj})
-        conj_total, _ = _query(
-            net, conj_fixed, (), method, enumeration_threshold, max_factor_parents
-        )
+        conj_total, _ = _query(net, conj_fixed, (), method)
         conj_value = _clamp01(conj_total / total)
     return PosteriorResult(posteriors, total, conj_value)
 

@@ -181,7 +181,6 @@ class Network:
             children[nid].sort()
         self._parents = parents
         self._children = children
-        self._topo: tuple[str, ...] | None = None
         self._violations: tuple[Violation, ...] | None = None
 
     # -- structure accessors -------------------------------------------------
@@ -244,12 +243,7 @@ class Network:
         Raises ValidationError if the edge relation has a cycle.
         """
         if self._topo is None:
-            order = self._try_topological_order()
-            if order is None:
-                raise ValidationError(
-                    "network contains a cycle", validate(self)
-                )
-            self._topo = order
+            raise ValidationError("network contains a cycle", validate(self))
         return self._topo
 
     @cached_property
@@ -271,7 +265,9 @@ class Network:
                 rows.append((False, 1.0 - node.leak, parents))
         return CompiledNetwork(order, index, tuple(rows))
 
-    def _try_topological_order(self) -> tuple[str, ...] | None:
+    @cached_property
+    def _topo(self) -> tuple[str, ...] | None:
+        """The topological order, or None if the edge relation has a cycle."""
         indegree = {nid: len(self._parents[nid]) for nid in self._nodes}
         ready = [nid for nid, deg in indegree.items() if deg == 0]
         heapq.heapify(ready)
@@ -379,7 +375,7 @@ def validate(net: Network) -> list[Violation]:
                     f"{src_kind.value} may not feed {dst_kind.value}",
                 )
             )
-    if net._try_topological_order() is None:
+    if net._topo is None:
         out.append(Violation("dag", net.name, "edge relation contains a cycle"))
     return out
 

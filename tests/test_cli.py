@@ -121,6 +121,15 @@ class TestInferCommand:
         assert main(["infer", net_file, "--evidence", "d1=1"]) == 1
         assert capsys.readouterr().err.startswith("error:domain:")
 
+    def test_conflicting_repeated_evidence_is_usage_error(self, net_file, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["infer", net_file, "--evidence", "f1=1,f1=0"])
+        assert exc.value.code == 2
+        assert "conflicting values for 'f1'" in capsys.readouterr().err
+        # a repeat with the same value is not a conflict
+        assert main(["infer", net_file, "--evidence", "f1=1,f1=1"]) == 0
+        assert capsys.readouterr().out.splitlines()[0] == "d1 0.6"
+
 
 class TestSampleCommand:
     def test_csv_deterministic(self, net_file, tmp_path):
@@ -134,6 +143,14 @@ class TestSampleCommand:
         lines = a.read_text().splitlines()
         assert lines[0] == "case_id,node_id,kind,phase,value"
         assert len(lines) == 1 + 5 * 2
+
+    def test_zero_cases_is_domain_error(self, net_file, tmp_path, capsys):
+        out = tmp_path / "cases.csv"
+        assert main([
+            "sample", net_file, "--cases", "0", "--seed", "3", "-o", str(out),
+        ]) == 1
+        assert capsys.readouterr().err.startswith("error:domain:")
+        assert not out.exists()
 
 
 class TestAnalyzeCommand:
@@ -181,3 +198,11 @@ class TestExperimentCommand:
         assert a.read_bytes() == b.read_bytes()
         header = a.read_text().splitlines()[0]
         assert header.startswith("phase,disease_id,n_cases,")
+
+    def test_zero_cases_is_domain_error(self, net_file, tmp_path, capsys):
+        out = tmp_path / "report.csv"
+        assert main([
+            "experiment", net_file, "--cases", "0", "--seed", "1", "--jobs", "1", "-o", str(out),
+        ]) == 1
+        assert capsys.readouterr().err.startswith("error:domain:")
+        assert not out.exists()

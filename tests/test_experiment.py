@@ -1,3 +1,4 @@
+import hashlib
 import pickle
 
 import pytest
@@ -5,6 +6,7 @@ import pytest
 import oracle
 from conftest import chain_net, random_unit_fan_net
 from nornet import (
+    DomainError,
     Edge,
     ExhaustionError,
     GeneratorConfig,
@@ -62,6 +64,11 @@ class TestGenerateCases:
         net = chain_net(prior=0.05)
         cases = generate_cases(net, 60, seed=2, require_positive=True)
         assert all(case.true_diseases["a"] for case in cases)
+
+    def test_fewer_than_one_case_is_domain_error(self):
+        for n_cases in (0, -1):
+            with pytest.raises(DomainError, match="n_cases"):
+                generate_cases(chain_net(), n_cases, seed=0)
 
     def test_require_positive_with_zero_priors_exhausts(self):
         net = chain_net(prior=0.0)
@@ -166,6 +173,29 @@ class TestRunExperiment:
         assert copy == net
         for m in methods:
             assert posterior(copy, evidence, method=m) == results[m]
+
+    def test_criterion_8_reports_are_pinned(self):
+        # recorded when elimination still multiplied its factors pairwise
+        # before summing a variable out
+        expected = {
+            (1, 2): "d6f765fd6430f759f65241fa36dc21f7102077483be3a9e969261881ac936722",
+            (3, 4): "13fcc96f9c241fd1420a7a7b3203bd0b8b803d9ee1bc8ca834c9d95f63ff9ecb",
+        }
+        for fan, digest in expected.items():
+            net = generate_network(
+                GeneratorConfig(
+                    3, 10, 30,
+                    fan_in_range=fan,
+                    fan_out_range=fan,
+                    ips_chain_prob=0.2,
+                    eta_range=(0.2, 0.9),
+                    leak_range=(0.0, 0.05),
+                    prior_range=(0.05, 0.4),
+                    seed=7,
+                )
+            )
+            text = report_csv(run_experiment(net, 40, seed=7))
+            assert hashlib.sha256(text.encode()).hexdigest() == digest
 
     def test_serial_and_parallel_runs_agree_byte_for_byte(self):
         net = generate_network(GeneratorConfig(2, 3, 10, seed=6))

@@ -1,0 +1,70 @@
+"""The sum-product step of variable elimination, bit for bit against a
+pairwise multiply-then-sum-out reference."""
+
+import random
+
+from nornet.factors import Factor, sum_product
+
+VARIABLES = ("a", "b", "c", "d", "e", "f")
+
+
+def _entry(f, states):
+    return f.values[sum(states[v] << bit for bit, v in enumerate(f.scope))]
+
+
+def _table(scope, cell):
+    """A factor over ``scope`` whose entry at each assignment is ``cell(states)``."""
+    values = []
+    for idx in range(1 << len(scope)):
+        values.append(cell({v: (idx >> bit) & 1 for bit, v in enumerate(scope)}))
+    return Factor(scope, values)
+
+
+def _multiply(f, g):
+    scope = tuple(sorted(set(f.scope) | set(g.scope)))
+    return _table(scope, lambda s: _entry(f, s) * _entry(g, s))
+
+
+def _sum_out(f, var):
+    scope = tuple(v for v in f.scope if v != var)
+    return _table(scope, lambda s: _entry(f, {**s, var: 0}) + _entry(f, {**s, var: 1}))
+
+
+def _reference(factors, var):
+    prod = factors[0]
+    for f in factors[1:]:
+        prod = _multiply(prod, f)
+    return _sum_out(prod, var)
+
+
+def _random_factors(rng):
+    variables = VARIABLES[: rng.randint(1, len(VARIABLES))]
+    var = rng.choice(variables)
+    others = [v for v in variables if v != var]
+    factors = []
+    for _ in range(rng.randint(1, 4)):
+        scope = tuple(sorted({var, *rng.sample(others, rng.randint(0, len(others)))}))
+        values = [rng.choice((0.0, 1.0, rng.random())) for _ in range(1 << len(scope))]
+        factors.append(Factor(scope, values))
+    return factors, var
+
+
+def test_matches_pairwise_reference_bit_for_bit():
+    rng = random.Random(20260)
+    for _ in range(300):
+        factors, var = _random_factors(rng)
+        got = sum_product(factors, var)
+        want = _reference(factors, var)
+        assert got.scope == want.scope
+        assert got.values == want.values
+
+
+def test_hand_computed_cells():
+    f = Factor(("a",), [0.25, 0.5])
+    g = Factor(("a", "b"), [0.5, 0.25, 1.0, 0.0])
+    out = sum_product([f, g], "a")
+    assert out.scope == ("b",)
+    assert out.values == [0.25 * 0.5 + 0.5 * 0.25, 0.25 * 1.0 + 0.5 * 0.0]
+    total = sum_product([f], "a")
+    assert total.scope == ()
+    assert total.values == [0.75]

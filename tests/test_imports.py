@@ -1,15 +1,18 @@
 """Import discipline of the package, read from its source with ``ast``.
 
 The package is stdlib-only at runtime, imports at module level only, and
-its modules import one another without cycles.
+its modules import one another without cycles. Every name the benchmark
+scripts under ``perfbench/`` import from the package exists.
 """
 
 import ast
+import importlib
 import sys
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "nornet"
 MODULES = {path.stem: ast.parse(path.read_text(), str(path)) for path in PACKAGE.glob("*.py")}
+BENCHMARK = PACKAGE.parent.parent / "perfbench"
 
 
 def _imports(tree):
@@ -71,3 +74,21 @@ def test_package_imports_are_acyclic():
 
     for module in sorted(graph):
         visit(module, [])
+
+
+def test_benchmark_imports_from_package_exist():
+    seen, missing = set(), []
+    for path in sorted(BENCHMARK.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ImportFrom) and node.level == 0:
+                if node.module.split(".")[0] != "nornet":
+                    continue
+                seen.add(node.module)
+                module = importlib.import_module(node.module)
+                missing += [
+                    f"{path.name}: {node.module}.{alias.name}"
+                    for alias in node.names
+                    if not hasattr(module, alias.name)
+                ]
+    assert {"nornet", "nornet.cli", "nornet.factors", "nornet.inference"} <= seen
+    assert missing == []
