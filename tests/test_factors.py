@@ -1,9 +1,10 @@
 """The sum-product step of variable elimination, bit for bit against a
-pairwise multiply-then-sum-out reference."""
+pairwise multiply-then-sum-out reference, and min-degree ordering against
+its original formulation."""
 
 import random
 
-from nornet.factors import Factor, sum_product
+from nornet.factors import Factor, min_degree_order, sum_product
 
 VARIABLES = ("a", "b", "c", "d", "e", "f")
 
@@ -68,3 +69,44 @@ def test_hand_computed_cells():
     total = sum_product([f], "a")
     assert total.scope == ()
     assert total.values == [0.75]
+
+
+def _reference_min_degree_order(variables, scopes):
+    """Min-degree ordering as first written: every step intersects each
+    neighbor set with the variables still remaining."""
+    neighbors = {v: set() for v in variables}
+    var_set = set(variables)
+    for scope in scopes:
+        present = [v for v in scope if v in var_set]
+        for i, a in enumerate(present):
+            for b in present[i + 1 :]:
+                neighbors[a].add(b)
+                neighbors[b].add(a)
+    order = []
+    remaining = set(variables)
+    while remaining:
+        best = min(remaining, key=lambda v: (len(neighbors[v] & remaining), v))
+        order.append(best)
+        nbrs = [v for v in neighbors[best] if v in remaining and v != best]
+        for i, a in enumerate(nbrs):
+            for b in nbrs[i + 1 :]:
+                neighbors[a].add(b)
+                neighbors[b].add(a)
+        remaining.discard(best)
+    return order
+
+
+def test_min_degree_order_matches_reference():
+    # scopes may name ids outside ``variables`` (observed nodes) and may be
+    # empty; both must be ignored exactly as the reference ignores them
+    rng = random.Random(61)
+    ids = [f"v{i:02d}" for i in range(30)]
+    for _ in range(1000):
+        variables = rng.sample(ids[:25], rng.randint(0, 25))
+        scopes = [
+            tuple(sorted(rng.sample(ids, rng.randint(0, 5))))
+            for _ in range(rng.randint(0, 30))
+        ]
+        assert min_degree_order(variables, scopes) == _reference_min_degree_order(
+            variables, scopes
+        )
