@@ -188,7 +188,7 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_experiment(args) -> int:
     net = parse_network(_read(args.net_file))
-    summary = run_experiment(net, args.cases, args.seed, jobs=max(1, args.jobs))
+    summary = run_experiment(net, args.cases, args.seed, jobs=args.jobs)
     _write(args.output, report_csv(summary))
     print(
         f"wrote {args.output}"

@@ -17,6 +17,8 @@ from __future__ import annotations
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from collections.abc import Mapping
+from functools import partial
+from math import ceil
 
 from .errors import DegenerateVarianceError, DomainError, ExhaustionError
 from .inference import posterior
@@ -140,19 +142,6 @@ class ExperimentSummary:
     param_count_reduced: int
 
 
-# Worker-process state: each worker receives both networks once, through
-# its initializer, instead of with every task.
-_WORKER: dict = {}
-
-
-def _init_worker(full: Network, reduced: Network) -> None:
-    _WORKER.update(full=full, reduced=reduced)
-
-
-def _eval_in_worker(evidence_by_phase):
-    return _eval_case(evidence_by_phase, **_WORKER)
-
-
 def _eval_case(evidence_by_phase, full, reduced):
     return [
         (
@@ -174,8 +163,11 @@ def run_experiment(
 
     Inference uses variable elimination: the experiment evaluates
     thousands of queries, and the engines agree to within 1e-10 anyway
-    (enforced by the test suite).
+    (enforced by the test suite). It starts ``min(jobs, n_cases)`` worker
+    processes, or none when that is 1; ``jobs`` below 1 is a DomainError.
     """
+    if jobs < 1:
+        raise DomainError(f"jobs must be at least 1, got {jobs}")
     full.require_valid()
     report = level_reduce(full)
     reduced = report.reduced
@@ -185,17 +177,16 @@ def run_experiment(
     tasks = [
         [dict(case.cumulative_evidence(phase)) for phase in PHASES] for case in cases
     ]
-    if jobs <= 1:
-        results = [_eval_case(task, full, reduced) for task in tasks]
+    evaluate = partial(_eval_case, full=full, reduced=reduced)
+    workers = min(jobs, n_cases)
+    if workers == 1:
+        results = list(map(evaluate, tasks))
     else:
-        with ProcessPoolExecutor(
-            max_workers=jobs,
-            initializer=_init_worker,
-            initargs=(full, reduced),
-        ) as pool:
-            results = list(
-                pool.map(_eval_in_worker, tasks, chunksize=max(1, n_cases // (jobs * 4)))
-            )
+        # Every case runs the same five phases over the same finding ids, so
+        # every case costs the same elimination work: one chunk per worker
+        # balances the load, and the networks travel once per chunk.
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(evaluate, tasks, chunksize=ceil(n_cases / workers)))
 
     cells = []
     phase_rows = []

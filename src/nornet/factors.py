@@ -49,25 +49,21 @@ def sum_product(factors: list[Factor], var: str) -> Factor:
 
 def min_degree_order(variables, scopes) -> list[str]:
     """Elimination order by repeated minimum degree over the interaction
-    graph induced by the factor scopes, ids ascending on ties. Neighbors of
-    an eliminated variable are connected (fill-in) before it is removed."""
+    graph induced by the factor scopes, ids ascending on ties. Neighbor sets
+    hold live variables only: eliminating a variable removes it from its
+    neighbors' sets and connects those neighbors to each other (fill-in)."""
     neighbors: dict[str, set[str]] = {v: set() for v in variables}
-    var_set = set(variables)
     for scope in scopes:
-        present = [v for v in scope if v in var_set]
-        for i, a in enumerate(present):
-            for b in present[i + 1 :]:
-                neighbors[a].add(b)
-                neighbors[b].add(a)
+        live = [v for v in scope if v in neighbors]
+        for v in live:
+            neighbors[v].update(live)
+            neighbors[v].discard(v)
     order: list[str] = []
-    remaining = set(variables)
-    while remaining:
-        best = min(remaining, key=lambda v: (len(neighbors[v] & remaining), v))
+    while neighbors:
+        best = min(neighbors, key=lambda v: (len(neighbors[v]), v))
         order.append(best)
-        nbrs = [v for v in neighbors[best] if v in remaining and v != best]
-        for i, a in enumerate(nbrs):
-            for b in nbrs[i + 1 :]:
-                neighbors[a].add(b)
-                neighbors[b].add(a)
-        remaining.discard(best)
+        nbrs = neighbors.pop(best)
+        for v in nbrs:
+            neighbors[v] |= nbrs
+            neighbors[v] -= {v, best}
     return order

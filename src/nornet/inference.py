@@ -170,7 +170,8 @@ def _ve_likelihood(net, kept_order, fixed):
 
 
 def _query(net, fixed, track, method):
-    """P(fixed assignment) and, per tracked node, P(node present AND fixed)."""
+    """P(fixed assignment) and, per tracked node, P(node present AND fixed).
+    No tracked node is fixed: posteriors fix findings and track diseases."""
     net.require_valid()
     kept = _prune_barren(net, set(fixed) | set(track))
     unobserved = len(kept) - len(fixed)
@@ -180,12 +181,7 @@ def _query(net, fixed, track, method):
         return _enum_query(net, kept, fixed, track)
     if method == "elimination":
         total = _ve_likelihood(net, kept, fixed)
-        masses = {}
-        for t in track:
-            if t in fixed:
-                masses[t] = total if fixed[t] else 0.0
-            else:
-                masses[t] = _ve_likelihood(net, kept, {**fixed, t: True})
+        masses = {t: _ve_likelihood(net, kept, {**fixed, t: True}) for t in track}
         return total, masses
     raise DomainError(f"unknown inference method {method!r}")
 

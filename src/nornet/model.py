@@ -181,7 +181,6 @@ class Network:
             children[nid].sort()
         self._parents = parents
         self._children = children
-        self._violations: tuple[Violation, ...] | None = None
 
     # -- structure accessors -------------------------------------------------
     # Sorted on first access and kept, since the network never changes.
@@ -243,7 +242,7 @@ class Network:
         Raises ValidationError if the edge relation has a cycle.
         """
         if self._topo is None:
-            raise ValidationError("network contains a cycle", validate(self))
+            raise ValidationError("network contains a cycle", self.violations())
         return self._topo
 
     @cached_property
@@ -295,9 +294,11 @@ class Network:
         return self
 
     def violations(self) -> tuple[Violation, ...]:
-        if self._violations is None:
-            self._violations = tuple(validate(self))
         return self._violations
+
+    @cached_property
+    def _violations(self) -> tuple[Violation, ...]:
+        return tuple(validate(self))
 
 
 class CompiledNetwork(NamedTuple):

@@ -206,3 +206,12 @@ class TestExperimentCommand:
         ]) == 1
         assert capsys.readouterr().err.startswith("error:domain:")
         assert not out.exists()
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_is_domain_error(self, net_file, tmp_path, capsys, jobs):
+        out = tmp_path / "report.csv"
+        assert main([
+            "experiment", net_file, "--cases", "4", "--seed", "1", "--jobs", jobs, "-o", str(out),
+        ]) == 1
+        assert capsys.readouterr().err.startswith("error:domain: jobs must be at least 1")
+        assert not out.exists()

@@ -1,16 +1,24 @@
 import hashlib
+import json
+import os
 import pickle
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
 import oracle
 from conftest import chain_net, random_unit_fan_net
+import nornet
 from nornet import (
     DomainError,
     Edge,
     ExhaustionError,
     GeneratorConfig,
     Network,
+    ValidationError,
     disease,
     finding,
     generate_cases,
@@ -194,14 +202,79 @@ class TestRunExperiment:
                     seed=7,
                 )
             )
-            text = report_csv(run_experiment(net, 40, seed=7))
-            assert hashlib.sha256(text.encode()).hexdigest() == digest
+            for jobs in (1, 2):
+                text = report_csv(run_experiment(net, 40, seed=7, jobs=jobs))
+                assert hashlib.sha256(text.encode()).hexdigest() == digest
 
     def test_serial_and_parallel_runs_agree_byte_for_byte(self):
         net = generate_network(GeneratorConfig(2, 3, 10, seed=6))
         serial = report_csv(run_experiment(net, 12, seed=6, jobs=1))
         parallel = report_csv(run_experiment(net, 12, seed=6, jobs=2))
         assert serial == parallel
+
+    def test_jobs_below_one_is_domain_error_before_any_work(self):
+        # an invalid network would raise ValidationError if any work started
+        invalid = Network("bad", [disease("a", 0.3), finding("c", 0.1, 1)], [Edge("c", "a", 0.5)])
+        with pytest.raises(ValidationError):
+            run_experiment(invalid, 5, seed=0)
+        for net in (chain_net(), invalid):
+            with pytest.raises(DomainError, match="jobs must be at least 1, got 0"):
+                run_experiment(net, 5, seed=0, jobs=0)
+
+    @pytest.mark.parametrize(
+        "jobs, n_cases, built",
+        [(8, 5, [(5, 1)]), (2, 5, [(2, 3)]), (2, 1, [])],
+    )
+    def test_pool_size_and_chunks(self, monkeypatch, jobs, n_cases, built):
+        # a fake executor records its size and chunking and maps in-process
+        pools = []
+
+        class RecordingExecutor:
+            def __init__(self, max_workers):
+                self.max_workers = max_workers
+                pools.append(self)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                return False
+
+            def map(self, fn, tasks, chunksize=1):
+                self.chunksize = chunksize
+                return map(fn, tasks)
+
+        net = generate_network(GeneratorConfig(2, 3, 10, seed=6))
+        serial = report_csv(run_experiment(net, n_cases, seed=6))
+        monkeypatch.setattr("nornet.experiment.ProcessPoolExecutor", RecordingExecutor)
+        pooled = report_csv(run_experiment(net, n_cases, seed=6, jobs=jobs))
+        assert [(p.max_workers, p.chunksize) for p in pools] == built
+        assert pooled == serial
+
+    def test_spawned_workers_give_the_serial_report(self):
+        # spawn, the default start method on macOS and Windows, pickles the
+        # networks with each chunk; run it in a child interpreter so this
+        # process keeps its own start method
+        code = textwrap.dedent(
+            """
+            import json, multiprocessing
+            from nornet import GeneratorConfig, generate_network, report_csv, run_experiment
+            multiprocessing.set_start_method("spawn")
+            net = generate_network(GeneratorConfig(2, 3, 10, seed=6))
+            reports = [report_csv(run_experiment(net, 12, seed=6, jobs=j)) for j in (1, 2)]
+            print(json.dumps(reports))
+            """
+        )
+        src = str(Path(nornet.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = {**os.environ, "PYTHONPATH": path}
+        done = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert done.returncode == 0, done.stderr
+        serial, spawned = json.loads(done.stdout)
+        assert serial.startswith("phase,")
+        assert spawned == serial
 
     def test_unit_fan_networks_give_exactly_zero_t(self):
         for seed in (1, 3, 5):
