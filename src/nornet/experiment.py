@@ -21,7 +21,7 @@ from functools import partial
 from math import ceil
 
 from .errors import DegenerateVarianceError, DomainError, ExhaustionError
-from .inference import posterior
+from .inference import _Elimination, _posterior
 from .model import Assignment, Network, NodeKind, PHASES
 from .reduction import level_reduce
 from .rng import SplitMix64
@@ -142,11 +142,11 @@ class ExperimentSummary:
     param_count_reduced: int
 
 
-def _eval_case(evidence_by_phase, full, reduced):
+def _eval_case(evidence_by_phase, full, reduced, full_cache, reduced_cache):
     return [
         (
-            posterior(full, evidence, method="elimination").posteriors,
-            posterior(reduced, evidence, method="elimination").posteriors,
+            _posterior(full, evidence, None, "elimination", full_cache).posteriors,
+            _posterior(reduced, evidence, None, "elimination", reduced_cache).posteriors,
         )
         for evidence in evidence_by_phase
     ]
@@ -177,7 +177,16 @@ def run_experiment(
     tasks = [
         [dict(case.cumulative_evidence(phase)) for phase in PHASES] for case in cases
     ]
-    evaluate = partial(_eval_case, full=full, reduced=reduced)
+    # One elimination cache per network for this call: every case fixes the
+    # same finding ids at a phase, so plans and node tables repeat. In a
+    # pool, each chunk unpickles its own empty copy.
+    evaluate = partial(
+        _eval_case,
+        full=full,
+        reduced=reduced,
+        full_cache=_Elimination(),
+        reduced_cache=_Elimination(),
+    )
     workers = min(jobs, n_cases)
     if workers == 1:
         results = list(map(evaluate, tasks))

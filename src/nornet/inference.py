@@ -16,6 +16,14 @@ The ``auto`` method enumerates whenever the pruned unobserved count is at
 most ``DEFAULT_ENUMERATION_THRESHOLD`` and eliminates otherwise. Elimination
 builds full tables only for nodes with at most ``DEFAULT_MAX_FACTOR_PARENTS``
 parents.
+
+An elimination pass is a symbolic plan, keyed by the kept nodes and the
+fixed ids (factor scopes, min-degree order, index maps), run numerically
+over node tables keyed by the node and its fixed family values. Both live
+in an :class:`_Elimination` cache that one call owns: a standalone
+posterior shares it across its 1 + |diseases| passes, and
+``run_experiment`` shares one per network across its cases. Nothing
+outlives the call that made it.
 """
 
 from __future__ import annotations
@@ -24,7 +32,7 @@ from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 
 from .errors import DomainError, EvidenceError, IncompleteAssignmentError
-from .factors import Factor, min_degree_order, sum_product
+from .factors import min_degree_order, sum_product_maps, sum_product_values
 from .model import Network, NodeKind, row_prob
 
 DEFAULT_ENUMERATION_THRESHOLD = 20
@@ -69,7 +77,7 @@ def _normalize_assignment(net: Network, assignment: Mapping) -> dict[str, bool]:
     return fixed
 
 
-def _prune_barren(net: Network, needed: set[str]) -> list[str]:
+def _prune_barren(net: Network, needed: set[str]) -> tuple[str, ...]:
     """Kept node ids in topological order: a node survives iff it is needed
     or some child of it survives."""
     order = net.topological_order()
@@ -77,7 +85,7 @@ def _prune_barren(net: Network, needed: set[str]) -> list[str]:
     for nid in reversed(order):
         if nid in needed or any(c in kept for c in net.children_of(nid)):
             kept.add(nid)
-    return [nid for nid in order if nid in kept]
+    return tuple(nid for nid in order if nid in kept)
 
 
 # -- enumeration engine -------------------------------------------------------
@@ -125,20 +133,33 @@ def _enum_query(net, kept_order, fixed, track):
 # -- variable elimination engine ----------------------------------------------
 
 
-def _node_factor(compiled, nid, fixed, state):
-    """The table of P(nid | parents) over its unfixed family. ``state`` is
-    indexed by row and already holds every fixed value; the scope rows are
-    overwritten cell by cell."""
+class _Elimination:
+    """Reusable elimination work for one network, held by whoever makes it
+    and dropped with it; nothing is stored on the network or the module.
+
+    ``plans`` maps (kept order, fixed-id set) to the symbolic part of a
+    pass: per kept node its fixed family ids and table scope, and per
+    elimination step the factor slots it sums and their index maps.
+    ``tables`` maps (node, fixed family ids, their values) to that node's
+    table: under noisy-OR it depends on nothing else, so every query that
+    fixes the same family members to the same values shares it. The ids
+    belong in the key: a finding with parents ``d1`` and ``d2`` fixes
+    (``d1``, itself) in one disease pass and (``d2``, itself) in another."""
+
+    def __init__(self):
+        self.plans = {}
+        self.tables = {}
+
+
+def _node_factor(compiled, nid, scope, held):
+    """The table of P(nid | parents) over ``scope``, its unfixed family,
+    with the rest of the family held at the ``(id, value)`` pairs of
+    ``held``."""
+    state = [False] * len(compiled.rows)
+    for v, value in held:
+        state[compiled.index[v]] = value
     i = compiled.index[nid]
     row = compiled.rows[i]
-    parents = row[2]
-    if len(parents) > DEFAULT_MAX_FACTOR_PARENTS:
-        raise DomainError(
-            f"node {nid!r} has {len(parents)} parents; elimination materializes "
-            f"full tables only up to {DEFAULT_MAX_FACTOR_PARENTS} parents"
-        )
-    family = [nid] + [compiled.order[j] for j, _ in parents]
-    scope = tuple(sorted(v for v in family if v not in fixed))
     scope_rows = [compiled.index[v] for v in scope]
     values = [0.0] * (1 << len(scope))
     for idx in range(len(values)):
@@ -146,32 +167,71 @@ def _node_factor(compiled, nid, fixed, state):
             state[j] = (idx >> bit) & 1
         p = row_prob(row, state)
         values[idx] = p if state[i] else 1.0 - p
-    return Factor(scope, values)
+    return values
 
 
-def _ve_likelihood(net, kept_order, fixed):
-    compiled = net.compiled
-    state = [False] * len(compiled.rows)
-    for nid, value in fixed.items():
-        state[compiled.index[nid]] = value
-    factors = [_node_factor(compiled, nid, fixed, state) for nid in kept_order]
+def _plan(compiled, kept_order, fixed):
+    """The symbolic part of one elimination pass: ``(nodes, steps, final)``.
+    Factor slots number the node tables in kept order, then each step's
+    output. A step sums the slots that mention its variable, in factor-list
+    order, and its output joins the end of the list; ``final`` holds the
+    slots left, whose single entries multiply to the likelihood."""
+    nodes, scopes = [], []
+    for nid in kept_order:
+        parents = compiled.rows[compiled.index[nid]][2]
+        if len(parents) > DEFAULT_MAX_FACTOR_PARENTS:
+            raise DomainError(
+                f"node {nid!r} has {len(parents)} parents; elimination materializes "
+                f"full tables only up to {DEFAULT_MAX_FACTOR_PARENTS} parents"
+            )
+        family = [nid] + [compiled.order[j] for j, _ in parents]
+        scope = tuple(sorted(v for v in family if v not in fixed))
+        nodes.append((nid, tuple(v for v in family if v in fixed), scope))
+        scopes.append(scope)
     hidden = sorted(nid for nid in kept_order if nid not in fixed)
-    for var in min_degree_order(hidden, [f.scope for f in factors]):
-        related = [f for f in factors if var in f.scope]
-        factors = [f for f in factors if var not in f.scope]
-        factors.append(sum_product(related, var))
+    live = list(range(len(scopes)))
+    steps = []
+    for var in min_degree_order(hidden, scopes):
+        related = [k for k in live if var in scopes[k]]
+        live = [k for k in live if var not in scopes[k]]
+        scope, maps = sum_product_maps([scopes[k] for k in related], var)
+        live.append(len(scopes))
+        scopes.append(scope)
+        steps.append((related, maps))
+    return nodes, steps, live
+
+
+def _ve_likelihood(net, kept_order, fixed, cache):
+    compiled = net.compiled
+    key = (kept_order, frozenset(fixed))
+    plan = cache.plans.get(key)
+    if plan is None:
+        plan = cache.plans[key] = _plan(compiled, kept_order, fixed)
+    nodes, steps, final = plan
+    tables = []
+    for nid, ids, scope in nodes:
+        held = tuple([fixed[v] for v in ids])
+        table = cache.tables.get((nid, ids, held))
+        if table is None:
+            table = _node_factor(compiled, nid, scope, zip(ids, held))
+            cache.tables[nid, ids, held] = table
+        tables.append(table)
+    for related, maps in steps:
+        tables.append(sum_product_values(maps, [tables[k] for k in related]))
     result = 1.0
-    for f in factors:
-        result *= f.values[0]
+    for k in final:
+        result *= tables[k][0]
     return result
 
 
 # -- shared dispatch ------------------------------------------------------------
 
 
-def _query(net, fixed, track, method):
+def _query(net, fixed, track, method, cache):
     """P(fixed assignment) and, per tracked node, P(node present AND fixed).
-    No tracked node is fixed: posteriors fix findings and track diseases."""
+    No tracked node is fixed: posteriors fix findings and track diseases.
+    Elimination passes reuse and fill ``cache``, an :class:`_Elimination`
+    for ``net``."""
     net.require_valid()
     kept = _prune_barren(net, set(fixed) | set(track))
     unobserved = len(kept) - len(fixed)
@@ -180,8 +240,8 @@ def _query(net, fixed, track, method):
     if method == "enumeration":
         return _enum_query(net, kept, fixed, track)
     if method == "elimination":
-        total = _ve_likelihood(net, kept, fixed)
-        masses = {t: _ve_likelihood(net, kept, {**fixed, t: True}) for t in track}
+        total = _ve_likelihood(net, kept, fixed, cache)
+        masses = {t: _ve_likelihood(net, kept, {**fixed, t: True}, cache) for t in track}
         return total, masses
     raise DomainError(f"unknown inference method {method!r}")
 
@@ -189,14 +249,14 @@ def _query(net, fixed, track, method):
 def event_prob(net: Network, assignment: Mapping, *, method: str = "auto") -> float:
     """Probability of a partial assignment over any subset of nodes."""
     fixed = _normalize_assignment(net, assignment)
-    total, _ = _query(net, fixed, (), method)
+    total, _ = _query(net, fixed, (), method, _Elimination())
     return total
 
 
 def marginal(net: Network, node_id: str, *, method: str = "auto") -> float:
     """Exact P(node present) with no evidence."""
     net.node(node_id)
-    total, masses = _query(net, {}, (node_id,), method)
+    total, masses = _query(net, {}, (node_id,), method, _Elimination())
     return _clamp01(masses[node_id] / total)
 
 
@@ -212,12 +272,18 @@ def posterior(
     Evidence may assign finding nodes only. With ``conjunction`` set, the
     result also carries P(all listed nodes present | evidence).
     """
+    return _posterior(net, evidence, conjunction, method, _Elimination())
+
+
+def _posterior(net, evidence, conjunction, method, cache):
+    """:func:`posterior`, with elimination passes reusing ``cache``, an
+    :class:`_Elimination` for ``net``."""
     fixed = _normalize_assignment(net, evidence)
     for nid in fixed:
         if net.node(nid).kind is not NodeKind.FINDING:
             raise DomainError(f"evidence node {nid!r} is not a finding")
     diseases = tuple(n.id for n in net.nodes_of_kind(NodeKind.DISEASE))
-    total, masses = _query(net, fixed, diseases, method)
+    total, masses = _query(net, fixed, diseases, method, cache)
     if total <= 0.0:
         raise EvidenceError("evidence has zero probability under this network")
     posteriors = {d: _clamp01(masses[d] / total) for d in diseases}
@@ -230,7 +296,7 @@ def posterior(
                 raise DomainError(f"conjunction node {nid!r} is observed absent")
         conj_fixed = dict(fixed)
         conj_fixed.update({nid: True for nid in conj})
-        conj_total, _ = _query(net, conj_fixed, (), method)
+        conj_total, _ = _query(net, conj_fixed, (), method, cache)
         conj_value = _clamp01(conj_total / total)
     return PosteriorResult(posteriors, total, conj_value)
 

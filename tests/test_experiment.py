@@ -12,12 +12,14 @@ import pytest
 import oracle
 from conftest import chain_net, random_unit_fan_net
 import nornet
+from nornet import inference
 from nornet import (
     DomainError,
     Edge,
     ExhaustionError,
     GeneratorConfig,
     Network,
+    NodeKind,
     ValidationError,
     disease,
     finding,
@@ -250,6 +252,40 @@ class TestRunExperiment:
         pooled = report_csv(run_experiment(net, n_cases, seed=6, jobs=jobs))
         assert [(p.max_workers, p.chunksize) for p in pools] == built
         assert pooled == serial
+
+    def test_elimination_work_does_not_grow_with_cases(self, monkeypatch):
+        # node tables and orderings are counted where nornet.inference calls
+        # them; a call's caches die with it, so a repeat call counts again
+        calls = {"tables": 0, "orders": 0}
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+
+            return wrapper
+
+        monkeypatch.setattr(
+            "nornet.inference._node_factor", counted("tables", inference._node_factor)
+        )
+        monkeypatch.setattr(
+            "nornet.inference.min_degree_order", counted("orders", inference.min_degree_order)
+        )
+        net = generate_network(GeneratorConfig(2, 3, 8, leak_range=(0.3, 0.6), seed=7))
+        # a node table depends on the finding values, so the first 5 cases
+        # must already show every finding both present and absent
+        cases = generate_cases(net, 5, seed=7)
+        for node in net.nodes_of_kind(NodeKind.FINDING):
+            assert {case.cumulative_evidence(5)[node.id] for case in cases} == {False, True}
+        counts = []
+        for n_cases in (5, 20, 20):
+            run_experiment(net, n_cases, seed=7, jobs=1)
+            counts.append(dict(calls))
+            calls.update(tables=0, orders=0)
+        assert counts[0] == counts[1] == counts[2]
+        # at most one ordering per network, phase and pass (evidence, then
+        # each of the two diseases fixed present)
+        assert 0 < counts[0]["orders"] <= 2 * 5 * 3
 
     def test_spawned_workers_give_the_serial_report(self):
         # spawn, the default start method on macOS and Windows, pickles the

@@ -1,10 +1,11 @@
 """The sum-product step of variable elimination, bit for bit against a
-pairwise multiply-then-sum-out reference, and min-degree ordering against
-its original formulation."""
+pairwise multiply-then-sum-out reference, its index maps against a
+per-cell bit loop, and min-degree ordering against its original
+formulation."""
 
 import random
 
-from nornet.factors import Factor, min_degree_order, sum_product
+from nornet.factors import Factor, min_degree_order, sum_product, sum_product_maps
 
 VARIABLES = ("a", "b", "c", "d", "e", "f")
 
@@ -58,6 +59,40 @@ def test_matches_pairwise_reference_bit_for_bit():
         want = _reference(factors, var)
         assert got.scope == want.scope
         assert got.values == want.values
+
+
+def _reference_maps(scopes, var):
+    """Index maps as first written: every output cell gathers each factor's
+    table index bit by bit."""
+    scope = tuple(sorted({v for s in scopes for v in s} - {var}))
+    maps = []
+    for s in scopes:
+        bits = [(bit, scope.index(v)) for bit, v in enumerate(s) if v != var]
+        var_bit = 1 << s.index(var)
+        absent = []
+        for idx in range(1 << len(scope)):
+            i = 0
+            for bit, pos in bits:
+                i |= ((idx >> pos) & 1) << bit
+            absent.append(i)
+        maps.append((absent, [i | var_bit for i in absent]))
+    return scope, maps
+
+
+def test_index_maps_match_per_cell_bit_loop():
+    rng = random.Random(4096)
+    names = [f"x{i}" for i in range(9)]
+    widths = set()
+    for _ in range(400):
+        var, *others = rng.sample(names, 1 + rng.randint(0, 8))
+        scopes = [
+            tuple(sorted({var, *rng.sample(others, rng.randint(0, len(others)))}))
+            for _ in range(rng.randint(1, 4))
+        ]
+        scope, maps = sum_product_maps(scopes, var)
+        assert (scope, maps) == _reference_maps(scopes, var)
+        widths.add(len(scope))
+    assert widths == set(range(9))
 
 
 def test_hand_computed_cells():

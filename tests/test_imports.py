@@ -2,7 +2,8 @@
 
 The package is stdlib-only at runtime, imports at module level only, and
 its modules import one another without cycles. Every name the benchmark
-scripts under ``perfbench/`` import from the package exists.
+scripts under ``perfbench/`` import from the package exists. The engine's
+modules keep no state that outlives a call: they bind constants only.
 """
 
 import ast
@@ -92,3 +93,54 @@ def test_benchmark_imports_from_package_exist():
                 ]
     assert {"nornet", "nornet.cli", "nornet.factors", "nornet.inference"} <= seen
     assert missing == []
+
+
+# modules whose caches must belong to a caller-made object, never to the
+# module: a module-level cache would carry results from one call to the next
+STATELESS = ("inference", "factors", "experiment")
+CONSTANT_NODES = (
+    ast.Constant, ast.Tuple, ast.UnaryOp, ast.BinOp, ast.unaryop, ast.operator, ast.Load,
+)
+
+
+def _is_constant(expr):
+    """Literals, tuples of them and arithmetic on them: no dict, list or set
+    literal or comprehension, no call and no name."""
+    return all(isinstance(node, CONSTANT_NODES) for node in ast.walk(expr))
+
+
+def _state_bindings(module, body):
+    """Statements of a module or class body that run code or bind anything
+    but a constant."""
+    for stmt in body:
+        where = f"{module} line {stmt.lineno}"
+        if isinstance(stmt, (ast.Import, ast.ImportFrom, ast.FunctionDef)):
+            continue
+        if isinstance(stmt, ast.ClassDef):
+            yield from _state_bindings(module, stmt.body)
+        elif isinstance(stmt, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+            if stmt.value is not None and not _is_constant(stmt.value):
+                yield where
+        elif not (isinstance(stmt, ast.Expr) and isinstance(stmt.value, ast.Constant)):
+            yield where
+
+
+def test_engine_modules_bind_only_constants():
+    found = []
+    for module in STATELESS:
+        tree = MODULES[module]
+        found += _state_bindings(module, tree.body)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Global):
+                found.append(f"{module} line {node.lineno}: global")
+            if isinstance(node, ast.FunctionDef):
+                args = node.args
+                for default in args.defaults + [d for d in args.kw_defaults if d is not None]:
+                    if not _is_constant(default):
+                        found.append(f"{module}.{node.name}: default argument")
+                for deco in node.decorator_list:
+                    target = deco.func if isinstance(deco, ast.Call) else deco
+                    name = getattr(target, "id", getattr(target, "attr", None))
+                    if name in ("cache", "lru_cache"):
+                        found.append(f"{module}.{node.name}: @{name}")
+    assert found == []

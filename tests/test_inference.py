@@ -3,6 +3,7 @@ import random
 import pytest
 
 import oracle
+from nornet import inference
 from conftest import chain_net, fork_net
 from nornet import (
     Assignment,
@@ -339,3 +340,68 @@ class TestDegenerateParameterSweep:
                     if abs(value - oracle.posterior(net, did, evidence)) > 1e-10:
                         wrong.append((k, method, did))
         assert wrong == []
+
+
+class TestEliminationReuse:
+    """Elimination posteriors that share one cache of plans and node tables
+    equal fresh calls bit for bit: the same finding ids with other values,
+    other id sets and repeats, interleaved."""
+
+    def _pitfall_net(self):
+        # f1 has two disease parents, so the d1 pass and the d2 pass both
+        # fix two of its family members: (d1, f1) and (d2, f1)
+        return Network(
+            "two-parent finding",
+            [disease("d1", 0.2), disease("d2", 0.35), ips("i1", 0.05),
+             finding("f1", 0.02, 1), finding("f2", 0.1, 2)],
+            [Edge("d1", "f1", 0.4), Edge("d2", "f1", 0.7),
+             Edge("d2", "i1", 0.6), Edge("i1", "f2", 0.8)],
+        )
+
+    def _networks(self):
+        rng = random.Random(77)
+        sweep = TestDegenerateParameterSweep()
+        yield self._pitfall_net()
+        for seed in range(6):
+            yield TestEngineAgreement()._random_net(seed)
+        for k in range(60):
+            yield sweep._net(rng, k)
+
+    def _queries(self, net, rng):
+        findings = [n.id for n in net.nodes_of_kind(NodeKind.FINDING)]
+        id_sets = [rng.sample(findings, rng.randint(0, len(findings))) for _ in range(3)]
+        queries = [{fid: rng.random() < 0.5 for fid in ids} for ids in id_sets for _ in range(3)]
+        queries += queries[:4]
+        rng.shuffle(queries)
+        return queries
+
+    def _answer(self, call):
+        try:
+            return call()
+        except EvidenceError:
+            return EvidenceError
+
+    def test_shared_cache_equals_fresh_calls(self):
+        rng = random.Random(2026)
+        for net in self._networks():
+            cache = inference._Elimination()
+            diseases = [n.id for n in net.nodes_of_kind(NodeKind.DISEASE)]
+            for k, evidence in enumerate(self._queries(net, rng)):
+                conj = diseases[:2] if k % 2 else None
+                shared = self._answer(
+                    lambda: inference._posterior(net, evidence, conj, "elimination", cache)
+                )
+                fresh = self._answer(
+                    lambda: posterior(net, evidence, conjunction=conj, method="elimination")
+                )
+                assert shared == fresh, (net.name, evidence)
+                # a table shared between passes with other fixed ids would
+                # be wrong in the fresh call too: check against enumeration
+                enum = self._answer(
+                    lambda: posterior(net, evidence, method="enumeration")
+                )
+                if enum is EvidenceError:
+                    assert shared is EvidenceError
+                    continue
+                for did, value in enum.posteriors.items():
+                    assert shared.posteriors[did] == pytest.approx(value, abs=1e-10)
