@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from collections.abc import Mapping
 
 from .errors import DomainError
-from .model import Edge, Network, NodeKind, disease, finding, ips
+from .model import Edge, Network, NodeKind, check_prob, disease, finding, ips
 from .reduction import ReductionReport
 
 
@@ -131,8 +131,7 @@ class StarConfig:
             ("rho_i", (self.rho_i,)),
         ):
             for v in values:
-                if not 0.0 <= v <= 1.0:
-                    raise DomainError(f"{name} value {v} outside [0, 1]")
+                check_prob(name, v)
 
     @property
     def fan_in(self) -> int:
@@ -208,8 +207,7 @@ def fan_in_ratio_two_disease(
     """Two-disease special case of the fan-out-1 ratio:
     (1 - rho_i)(p1 + p2 - p1 p2) / [(1 - rho_f)(p1 + p2 - q p1 p2)]."""
     for name, v in (("p1", p1), ("p2", p2), ("q", q), ("rho_i", rho_i), ("rho_f", rho_f)):
-        if not 0.0 <= v <= 1.0:
-            raise DomainError(f"{name} value {v} outside [0, 1]")
+        check_prob(name, v)
     denominator = (1.0 - rho_f) * (p1 + p2 - q * p1 * p2)
     if denominator == 0.0:
         raise DomainError("zero denominator in two-disease ratio")
@@ -231,8 +229,7 @@ def fan_out_ratio(p: float, q: list[float], rho_f: list[float]) -> tuple[float, 
         raise DomainError("need one finding leak per finding eta")
     for name, values in (("p", (p,)), ("q", q), ("rho_f", rho_f)):
         for v in values:
-            if not 0.0 <= v <= 1.0:
-                raise DomainError(f"{name} value {v} outside [0, 1]")
+            check_prob(name, v)
     denominator = math.prod(p * qj for qj in q)
     if denominator == 0.0:
         raise DomainError("collapsed-network likelihood is zero (p or some q is 0)")

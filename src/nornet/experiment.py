@@ -43,10 +43,7 @@ class TestCase:
 
     def cumulative_evidence(self, phase: int) -> Assignment:
         """Union of the finding buckets for phases 1..phase."""
-        merged = Assignment()
-        for k in PHASES[: phase]:
-            merged = merged.union(self.findings_by_phase[k])
-        return merged
+        return Assignment().union(*(self.findings_by_phase[k] for k in PHASES[:phase]))
 
 
 def generate_cases(

@@ -381,18 +381,22 @@ def validate(net: Network) -> list[Violation]:
     return out
 
 
+def check_prob(name: str, value: float) -> None:
+    """Raise ``DomainError`` unless ``value`` is a probability in [0, 1]."""
+    if not 0.0 <= value <= 1.0:
+        raise DomainError(f"{name} {value} outside [0, 1]")
+
+
 def noisy_or_prob(leak: float, present_etas: Iterable[float]) -> float:
     """Probability the effect is present given leak and the etas of its
     present causes: 1 - (1 - leak) * prod(1 - eta).
 
     With no present causes this is just the leak.
     """
-    if not 0.0 <= leak <= 1.0:
-        raise DomainError(f"leak {leak} outside [0, 1]")
+    check_prob("leak", leak)
     all_fail = 1.0
     for eta in present_etas:
-        if not 0.0 <= eta <= 1.0:
-            raise DomainError(f"eta {eta} outside [0, 1]")
+        check_prob("eta", eta)
         all_fail *= 1.0 - eta
     if all_fail == 1.0:
         return leak

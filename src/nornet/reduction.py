@@ -15,13 +15,13 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from .errors import DomainError
-from .model import Edge, Network, NodeKind
+from .model import Edge, Network, NodeKind, check_prob
 
 
 def compose_serial(p: float, q: float) -> float:
     """Activation probability of a two-edge path collapsed to one edge."""
-    _check_prob("p", p)
-    _check_prob("q", q)
+    check_prob("p", p)
+    check_prob("q", q)
     return p * q
 
 
@@ -31,7 +31,7 @@ def merge_parallel(composed: list[float]) -> float:
         raise DomainError("merge_parallel needs at least one path probability")
     acc = 1.0
     for value in composed:
-        _check_prob("path probability", value)
+        check_prob("path probability", value)
         acc *= 1.0 - value
     return 1.0 - acc
 
@@ -40,9 +40,9 @@ def absorb_leak(rho_b: float, q: float, rho_c: float) -> float:
     """Fold an eliminated node's leak through its outgoing edge into the
     successor's leak: the upstream leak first attenuates by q, then
     OR-combines with the successor's own leak."""
-    _check_prob("rho_b", rho_b)
-    _check_prob("q", q)
-    _check_prob("rho_c", rho_c)
+    check_prob("rho_b", rho_b)
+    check_prob("q", q)
+    check_prob("rho_c", rho_c)
     return 1.0 - (1.0 - rho_b * q) * (1.0 - rho_c)
 
 
@@ -168,8 +168,3 @@ def level_reduce(net: Network) -> ReductionReport:
         param_count_reduced=_param_count(reduced),
         eliminated_ips_order=tuple(ips_order),
     )
-
-
-def _check_prob(name: str, value: float) -> None:
-    if not 0.0 <= value <= 1.0:
-        raise DomainError(f"{name} {value} outside [0, 1]")

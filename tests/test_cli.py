@@ -1,8 +1,10 @@
+import argparse
+
 import pytest
 
 from conftest import fork_net
 from nornet import parse_network, serialize_network
-from nornet.cli import main
+from nornet.cli import _build_parser, main
 
 MINIMAL = """\
 nornet 1 tiny
@@ -215,3 +217,99 @@ class TestExperimentCommand:
         ]) == 1
         assert capsys.readouterr().err.startswith("error:domain: jobs must be at least 1")
         assert not out.exists()
+
+
+CONTRACT_FILES = {
+    "tiny": MINIMAL,
+    "malformed": "nornet 1 x\nedge a b eta=0.5\n",
+    "cyclic": (
+        "nornet 1 cyc\n"
+        "node d1 disease leak=0 prior=0.5\n"
+        "node i1 ips leak=0\n"
+        "node i2 ips leak=0\n"
+        "node f1 finding leak=0 phase=1\n"
+        "edge d1 i1 eta=0.5\n"
+        "edge i1 i2 eta=0.5\n"
+        "edge i2 i1 eta=0.5\n"
+        "edge i2 f1 eta=0.5\n"
+    ),
+    # neither disease is ever present, so f1, with leak 0, never is either
+    "no_disease": (
+        "nornet 1 none\n"
+        "node d1 disease leak=0 prior=0\n"
+        "node d2 disease leak=0 prior=0\n"
+        "node f1 finding leak=0 phase=1\n"
+        "edge d1 f1 eta=1\n"
+        "edge d2 f1 eta=0.5\n"
+    ),
+}
+GEN = ["gen", "--diseases", "2", "--ips", "1", "--findings", "4", "--seed", "1"]
+SAMPLE = ["--cases", "4", "--seed", "1"]
+RUN = SAMPLE + ["--jobs", "1"]
+# (argv, error class). In argv, {name} is a file of CONTRACT_FILES, {missing}
+# a path that does not exist, {out} a writable path and {unwritable} a path
+# in a directory that does not exist. ``validate`` on an invalid network
+# lists its violations instead (TestValidateCommand).
+ERROR_CONTRACT = [
+    (["validate", "{missing}"], "io"),
+    (["validate", "{malformed}"], "parse"),
+    (GEN + ["-o", "{unwritable}"], "io"),
+    (GEN + ["--fan-in", "7..9", "-o", "{out}"], "config"),
+    (["reduce", "{missing}", "-o", "{out}"], "io"),
+    (["reduce", "{tiny}", "-o", "{unwritable}"], "io"),
+    (["reduce", "{tiny}", "-o", "{out}", "--provenance", "{unwritable}"], "io"),
+    (["reduce", "{malformed}", "-o", "{out}"], "parse"),
+    (["reduce", "{cyclic}", "-o", "{out}"], "validation"),
+    (["infer", "{missing}"], "io"),
+    (["infer", "{malformed}"], "parse"),
+    (["infer", "{cyclic}"], "validation"),
+    (["infer", "{tiny}", "--evidence", "d1=1"], "domain"),
+    (["infer", "{tiny}", "--evidence", "x9=1"], "domain"),
+    (["infer", "{tiny}", "--conjunction", "x9"], "domain"),
+    (["infer", "{no_disease}", "--evidence", "f1=1"], "evidence"),
+    (["sample", "{missing}", *SAMPLE, "-o", "{out}"], "io"),
+    (["sample", "{malformed}", *SAMPLE, "-o", "{out}"], "parse"),
+    (["sample", "{cyclic}", *SAMPLE, "-o", "{out}"], "validation"),
+    (["sample", "{tiny}", "--cases", "0", "--seed", "1", "-o", "{out}"], "domain"),
+    (["sample", "{no_disease}", *SAMPLE, "--require-positive", "-o", "{out}"], "exhaustion"),
+    (["sample", "{tiny}", *SAMPLE, "-o", "{unwritable}"], "io"),
+    (["analyze", "{missing}"], "io"),
+    (["analyze", "{malformed}"], "parse"),
+    (["analyze", "{cyclic}"], "validation"),
+    (["experiment", "{missing}", *RUN, "-o", "{out}"], "io"),
+    (["experiment", "{malformed}", *RUN, "-o", "{out}"], "parse"),
+    (["experiment", "{cyclic}", *RUN, "-o", "{out}"], "validation"),
+    (["experiment", "{tiny}", "--cases", "0", "--seed", "1", "--jobs", "1", "-o", "{out}"],
+     "domain"),
+    (["experiment", "{tiny}", "--cases", "4", "--seed", "1", "--jobs", "0", "-o", "{out}"],
+     "domain"),
+    (["experiment", "{tiny}", *RUN, "-o", "{unwritable}"], "io"),
+]
+
+
+def test_error_contract_covers_every_subcommand():
+    (commands,) = [
+        action.choices
+        for action in _build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    assert {argv[0] for argv, _ in ERROR_CONTRACT} == set(commands)
+
+
+@pytest.mark.parametrize(
+    "argv,error_class", ERROR_CONTRACT, ids=[" ".join(a) for a, _ in ERROR_CONTRACT]
+)
+def test_error_contract(argv, error_class, tmp_path, capfd):
+    paths = {
+        "missing": tmp_path / "nope.net",
+        "out": tmp_path / "out",
+        "unwritable": tmp_path / "no-such-dir" / "out",
+    }
+    for name, text in CONTRACT_FILES.items():
+        paths[name] = tmp_path / f"{name}.net"
+        paths[name].write_text(text)
+    assert main([arg.format(**paths) for arg in argv]) == 1
+    err = capfd.readouterr().err
+    assert err.startswith(f"error:{error_class}: ")
+    assert err.count("\n") == 1 and err.endswith("\n")
+    assert "Traceback" not in err

@@ -2,13 +2,16 @@
 
 The package is stdlib-only at runtime, imports at module level only, and
 its modules import one another without cycles. Every name the benchmark
-scripts under ``perfbench/`` import from the package exists. The engine's
-modules keep no state that outlives a call: they bind constants only.
+scripts under ``perfbench/`` import from the package exists, and every
+top-level definition is used by the package or by those scripts, not by
+tests alone. The engine's modules keep no state that outlives a call:
+they bind constants only.
 """
 
 import ast
 import importlib
 import sys
+from collections import Counter
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "nornet"
@@ -77,22 +80,55 @@ def test_package_imports_are_acyclic():
         visit(module, [])
 
 
-def test_benchmark_imports_from_package_exist():
-    seen, missing = set(), []
+def _benchmark_imports():
+    """(script name, ``from nornet... import`` statement) per such import
+    in the benchmark scripts."""
     for path in sorted(BENCHMARK.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
             if isinstance(node, ast.ImportFrom) and node.level == 0:
-                if node.module.split(".")[0] != "nornet":
-                    continue
-                seen.add(node.module)
-                module = importlib.import_module(node.module)
-                missing += [
-                    f"{path.name}: {node.module}.{alias.name}"
-                    for alias in node.names
-                    if not hasattr(module, alias.name)
-                ]
+                if node.module.split(".")[0] == "nornet":
+                    yield path.name, node
+
+
+def test_benchmark_imports_from_package_exist():
+    seen, missing = set(), []
+    for script, node in _benchmark_imports():
+        seen.add(node.module)
+        module = importlib.import_module(node.module)
+        missing += [
+            f"{script}: {node.module}.{alias.name}"
+            for alias in node.names
+            if not hasattr(module, alias.name)
+        ]
     assert {"nornet", "nornet.cli", "nornet.factors", "nornet.inference"} <= seen
     assert missing == []
+
+
+def _names(tree):
+    """Every name a tree reads, looks up as an attribute or imports."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.ImportFrom):
+            yield from (alias.name for alias in node.names)
+
+
+def test_every_top_level_definition_is_used_outside_tests():
+    # a definition's own body (recursion) does not count as a use of it;
+    # an ``__init__`` re-export does
+    used = Counter(name for tree in MODULES.values() for name in _names(tree))
+    benchmark = {alias.name for _, node in _benchmark_imports() for alias in node.names}
+    unused = sorted(
+        f"{module}.{node.name}"
+        for module, tree in MODULES.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and node.name not in benchmark
+        and used[node.name] == Counter(_names(node))[node.name]
+    )
+    assert unused == []
 
 
 # modules whose caches must belong to a caller-made object, never to the
