@@ -191,11 +191,7 @@ def fan_in_ratio(cfg: StarConfig) -> float:
     """
     if cfg.fan_out != 1:
         raise DomainError("fan_in_ratio needs fan-out 1")
-    q = cfg.q[0]
-    rho_f = cfg.rho_f[0]
-    none_on = math.prod(1.0 - pk for pk in cfg.p)
-    numerator = q * (1.0 - cfg.rho_i) * (1.0 - none_on) + rho_f * none_on
-    denominator = (1.0 - math.prod(1.0 - pk * q for pk in cfg.p)) * (1.0 - rho_f)
+    numerator, denominator = _fan_in_terms(cfg)
     if denominator == 0.0:
         raise DomainError("collapsed-network likelihood is zero for this star")
     return numerator / denominator
@@ -248,10 +244,16 @@ def closed_form_posteriors(
         raise DomainError("closed_form_posteriors needs fan-out 1")
     if not 0.0 < prior_over_d <= 1.0 or not 0.0 < p_f <= 1.0:
         raise DomainError("prior and normalizer must be in (0, 1]")
+    three, two = _fan_in_terms(cfg)
+    factor = prior_over_d / p_f
+    return three * factor, two * factor
+
+
+def _fan_in_terms(cfg: StarConfig) -> tuple[float, float]:
+    """Layered and collapsed fan-out-1 terms, before the prior/normalizer factor."""
     q = cfg.q[0]
     rho_f = cfg.rho_f[0]
     none_on = math.prod(1.0 - pk for pk in cfg.p)
-    factor = prior_over_d / p_f
-    three = (q * (1.0 - cfg.rho_i) * (1.0 - none_on) + rho_f * none_on) * factor
-    two = (1.0 - math.prod(1.0 - pk * q for pk in cfg.p)) * (1.0 - rho_f) * factor
-    return three, two
+    layered = q * (1.0 - cfg.rho_i) * (1.0 - none_on) + rho_f * none_on
+    collapsed = (1.0 - math.prod(1.0 - pk * q for pk in cfg.p)) * (1.0 - rho_f)
+    return layered, collapsed

@@ -200,14 +200,16 @@ def _cmd_experiment(args) -> int:
 
 def _read(path: str) -> str:
     try:
-        return Path(path).read_text()
+        return Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise FileError(f"cannot read {path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise FileError(f"cannot read {path}: not UTF-8 text at byte {exc.start}") from exc
 
 
 def _write(path: str, content: str) -> None:
     try:
-        Path(path).write_text(content)
+        Path(path).write_text(content, encoding="utf-8")
     except OSError as exc:
         raise FileError(f"cannot write {path}: {exc.strerror}") from exc
 

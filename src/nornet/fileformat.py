@@ -20,13 +20,15 @@ from collections.abc import Iterable
 
 from .errors import DomainError, ParseError
 from .experiment import ExperimentSummary, TestCase
-from .model import Edge, Network, Node, NodeKind, PHASES
+from .model import PHASES, Edge, Network, Node, NodeKind, local_violations
 from .reduction import ReductionReport
 
 FORMAT_NAME = "nornet"
 FORMAT_VERSION = "1"
 
 _KINDS = {kind.value: kind for kind in NodeKind}
+_NODE_FIELDS = {"leak": float, "prior": float, "phase": int}
+_EDGE_FIELDS = {"eta": float}
 
 
 def format_float(x: float) -> str:
@@ -98,39 +100,10 @@ def _parse_node(lineno, tokens, nodes):
     kind = _KINDS.get(kind_token)
     if kind is None:
         raise ParseError(lineno, f"unknown node kind {kind_token!r}")
-    values = _parse_fields(lineno, fields, allowed=("leak", "prior", "phase"))
+    values = _parse_fields(lineno, fields, _NODE_FIELDS)
     if "leak" not in values:
         raise ParseError(lineno, "node line missing leak=")
-    leak = _parse_float(lineno, "leak", values["leak"])
-    if not 0.0 <= leak <= 1.0:
-        raise ParseError(lineno, "leak out of range")
-    prior = None
-    phase = None
-    if kind is NodeKind.DISEASE:
-        if "prior" not in values:
-            raise ParseError(lineno, "disease node missing prior=")
-        if "phase" in values:
-            raise ParseError(lineno, "disease node takes no phase")
-        if leak != 0.0:
-            raise ParseError(lineno, "disease node must have leak=0")
-        prior = _parse_float(lineno, "prior", values["prior"])
-        if not 0.0 <= prior <= 1.0:
-            raise ParseError(lineno, "prior out of range")
-    elif kind is NodeKind.IPS:
-        if "prior" in values or "phase" in values:
-            raise ParseError(lineno, "ips node takes neither prior nor phase")
-    else:
-        if "phase" not in values:
-            raise ParseError(lineno, "finding node missing phase=")
-        if "prior" in values:
-            raise ParseError(lineno, "finding node takes no prior")
-        try:
-            phase = int(values["phase"])
-        except ValueError:
-            raise ParseError(lineno, f"malformed phase {values['phase']!r}") from None
-        if phase not in PHASES:
-            raise ParseError(lineno, "phase out of range")
-    nodes[node_id] = Node(node_id, kind, leak=leak, prior=prior, phase=phase)
+    nodes[node_id] = _checked(lineno, Node(node_id, kind, **values))
 
 
 def _parse_edge(lineno, tokens, nodes, edges):
@@ -141,34 +114,34 @@ def _parse_edge(lineno, tokens, nodes, edges):
         raise ParseError(lineno, f"unknown node {src!r} (nodes must precede edges)")
     if dst not in nodes:
         raise ParseError(lineno, f"unknown node {dst!r} (nodes must precede edges)")
-    values = _parse_fields(lineno, [eta_field], allowed=("eta",))
-    if "eta" not in values:
-        raise ParseError(lineno, "edge line missing eta=")
-    eta = _parse_float(lineno, "eta", values["eta"])
-    if not 0.0 < eta <= 1.0:
-        raise ParseError(lineno, "eta out of range")
     if (src, dst) in edges:
         raise ParseError(lineno, f"duplicate edge {src}->{dst}")
-    edges[(src, dst)] = Edge(src, dst, eta)
+    eta = _parse_fields(lineno, [eta_field], _EDGE_FIELDS)["eta"]
+    edges[(src, dst)] = _checked(lineno, Edge(src, dst, eta))
 
 
-def _parse_fields(lineno, fields, allowed):
+def _parse_fields(lineno, fields, types):
+    """Numbers from ``key=value`` fields; ``types`` maps each allowed key to its type."""
     values = {}
     for field in fields:
-        key, sep, value = field.partition("=")
-        if not sep or key not in allowed:
+        key, sep, token = field.partition("=")
+        if not sep or key not in types:
             raise ParseError(lineno, f"unexpected field {field!r}")
         if key in values:
             raise ParseError(lineno, f"repeated field {key!r}")
-        values[key] = value
+        try:
+            values[key] = types[key](token)
+        except ValueError:
+            raise ParseError(lineno, f"malformed {key} value {token!r}") from None
     return values
 
 
-def _parse_float(lineno, key, token):
-    try:
-        return float(token)
-    except ValueError:
-        raise ParseError(lineno, f"malformed {key} value {token!r}") from None
+def _checked(lineno, item):
+    """``item``, or a ParseError with the first rule of ``local_violations`` it breaks."""
+    broken = local_violations(item)
+    if broken:
+        raise ParseError(lineno, broken[0].message)
+    return item
 
 
 # -- CSV reports ----------------------------------------------------------------

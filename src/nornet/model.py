@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import enum
 import heapq
+import re
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from functools import cached_property
@@ -337,47 +338,69 @@ def validate(net: Network) -> list[Violation]:
     """Check every structural invariant; an empty list means valid.
 
     Violations are data, not exceptions: each names the offending node or
-    edge and the rule it breaks.
+    edge and the rule it breaks. The :func:`local_violations` of every node
+    come first, then each edge's and its level ordering, then ``dag``.
     """
     out: list[Violation] = []
     for node in net.nodes:
-        nid = node.id
-        if not nid or any(c.isspace() for c in nid):
-            out.append(Violation("node-id", repr(nid), "id must be nonempty without whitespace"))
-        if not 0.0 <= node.leak <= 1.0:
-            out.append(Violation("leak-range", nid, f"leak {node.leak} outside [0, 1]"))
-        if node.kind is NodeKind.DISEASE:
-            if node.leak != 0.0:
-                out.append(Violation("disease-leak", nid, "disease nodes must have leak 0"))
-            if node.prior is None:
-                out.append(Violation("prior-missing", nid, "disease nodes require a prior"))
-            elif not 0.0 <= node.prior <= 1.0:
-                out.append(Violation("prior-range", nid, f"prior {node.prior} outside [0, 1]"))
-        elif node.prior is not None:
-            out.append(Violation("prior-unexpected", nid, f"{node.kind.value} nodes take no prior"))
-        if node.kind is NodeKind.FINDING:
-            if node.phase is None:
-                out.append(Violation("phase-missing", nid, "finding nodes require a phase"))
-            elif node.phase not in PHASES:
-                out.append(Violation("phase-range", nid, f"phase {node.phase} outside 1..5"))
-        elif node.phase is not None:
-            out.append(Violation("phase-unexpected", nid, f"{node.kind.value} nodes take no phase"))
+        out.extend(local_violations(node))
     for edge in net.edges:
-        subject = f"{edge.src}->{edge.dst}"
-        if not 0.0 < edge.eta <= 1.0:
-            out.append(Violation("eta-range", subject, f"eta {edge.eta} outside (0, 1]"))
+        out.extend(local_violations(edge))
         src_kind = net.node(edge.src).kind
         dst_kind = net.node(edge.dst).kind
         if (src_kind, dst_kind) not in _LEGAL_ARCS:
             out.append(
                 Violation(
                     "level-ordering",
-                    subject,
+                    f"{edge.src}->{edge.dst}",
                     f"{src_kind.value} may not feed {dst_kind.value}",
                 )
             )
     if net._topo is None:
         out.append(Violation("dag", net.name, "edge relation contains a cycle"))
+    return out
+
+
+# Characters an id may not hold: the file format splits on whitespace, the
+# CSV outputs on ',', --evidence on '=' and provenance paths on '>'.
+_BAD_ID_CHAR = re.compile(r"[\s,=>]")
+
+
+def local_violations(item: Node | Edge) -> list[Violation]:
+    """The rules that one node or edge must meet on its own, in order.
+
+    :func:`validate` applies them over a whole network, and the network
+    file parser to each line, where the first one broken is the error.
+    """
+    if isinstance(item, Edge):
+        if 0.0 < item.eta <= 1.0:
+            return []
+        message = f"eta out of range: {item.eta} outside (0, 1]"
+        return [Violation("eta-range", f"{item.src}->{item.dst}", message)]
+    nid, kind, leak, prior, phase = item.id, item.kind, item.leak, item.prior, item.phase
+    out: list[Violation] = []
+    if not nid or _BAD_ID_CHAR.search(nid):
+        message = f"node id {nid!r} must be nonempty without whitespace, ',', '=' or '>'"
+        out.append(Violation("node-id", repr(nid), message))
+    if not 0.0 <= leak <= 1.0:
+        out.append(Violation("leak-range", nid, f"leak out of range: {leak} outside [0, 1]"))
+    if kind is NodeKind.DISEASE:
+        if leak != 0.0:
+            out.append(Violation("disease-leak", nid, f"disease leak must be 0, not {leak}"))
+        if prior is None:
+            out.append(Violation("prior-missing", nid, "disease node missing prior"))
+        elif not 0.0 <= prior <= 1.0:
+            message = f"prior out of range: {prior} outside [0, 1]"
+            out.append(Violation("prior-range", nid, message))
+    elif prior is not None:
+        out.append(Violation("prior-unexpected", nid, f"{kind.value} node takes no prior"))
+    if kind is NodeKind.FINDING:
+        if phase is None:
+            out.append(Violation("phase-missing", nid, "finding node missing phase"))
+        elif phase not in PHASES:
+            out.append(Violation("phase-range", nid, f"phase out of range: {phase} outside 1..5"))
+    elif phase is not None:
+        out.append(Violation("phase-unexpected", nid, f"{kind.value} node takes no phase"))
     return out
 
 

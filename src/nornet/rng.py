@@ -50,9 +50,6 @@ class SplitMix64:
         """Uniform float in [lo, hi] (degenerates to the constant when lo == hi)."""
         return lo + self.next_float() * (hi - lo)
 
-    def choice(self, seq):
-        return seq[self.randint(0, len(seq) - 1)]
-
     def weighted_index(self, weights) -> int:
         """Index drawn proportionally to the given positive weights."""
         total = float(sum(weights))

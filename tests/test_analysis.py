@@ -231,6 +231,19 @@ class TestClosedFormPosteriors:
         three, two = closed_form_posteriors(cfg, prior_over_d=0.3, p_f=0.5)
         assert three == pytest.approx(two, rel=1e-14)
 
+    def test_unit_factor_terms_give_the_ratio_bit_for_bit(self):
+        rng = SplitMix64(61)
+        for _ in range(200):
+            m = rng.randint(1, 4)
+            cfg = StarConfig(
+                p=tuple(rng.uniform(0.05, 1.0) for _ in range(m)),
+                q=(rng.uniform(0.05, 1.0),),
+                rho_i=rng.uniform(0.0, 0.3),
+                rho_f=(rng.uniform(0.0, 0.3),),
+            )
+            three, two = closed_form_posteriors(cfg, 1.0, 1.0)
+            assert fan_in_ratio(cfg) == three / two
+
     def test_fan_out_required(self):
         with pytest.raises(DomainError):
             closed_form_posteriors(

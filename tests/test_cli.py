@@ -1,7 +1,12 @@
 import argparse
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import nornet
 from conftest import fork_net
 from nornet import parse_network, serialize_network
 from nornet.cli import _build_parser, main
@@ -42,6 +47,13 @@ class TestValidateCommand:
         path.write_text("nornet 1 x\nedge a b eta=0.5\n")
         assert main(["validate", str(path)]) == 1
         assert capsys.readouterr().err.startswith("error:parse:")
+
+    @pytest.mark.parametrize("node_id", ["a,b", "f=1", "a>b"])
+    def test_id_the_outputs_cannot_carry(self, tmp_path, capsys, node_id):
+        path = tmp_path / "ids.net"
+        path.write_text(MINIMAL + f"node {node_id} ips leak=0\n")
+        assert main(["validate", str(path)]) == 1
+        assert capsys.readouterr().err.startswith("error:parse: line 5: node id")
 
     def test_missing_file_is_io_error(self, tmp_path, capsys):
         assert main(["validate", str(tmp_path / "nope.net")]) == 1
@@ -91,6 +103,27 @@ class TestReduceCommand:
         assert len(lines) == 1 + 6  # 3 diseases x 2 findings, one path each
         reduced = parse_network(out.read_text())
         assert len(reduced.edges) == 6
+
+    def test_files_are_utf8_whatever_the_locale(self, tmp_path):
+        path = tmp_path / "fievre.net"
+        path.write_bytes(MINIMAL.replace("d1", "fièvre").encode("utf-8"))
+        in_process = tmp_path / "a.net"
+        assert main(["reduce", str(path), "-o", str(in_process)]) == 0
+        child = tmp_path / "b.net"
+        src = str(Path(nornet.__file__).resolve().parents[1])
+        env = {
+            **os.environ,
+            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+            "LC_ALL": "C",
+            "PYTHONCOERCECLOCALE": "0",
+            "PYTHONUTF8": "0",
+        }
+        done = subprocess.run(
+            [sys.executable, "-m", "nornet", "reduce", str(path), "-o", str(child)],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert child.read_bytes() == in_process.read_bytes()
 
 
 class TestInferCommand:
@@ -233,6 +266,7 @@ CONTRACT_FILES = {
         "edge i2 i1 eta=0.5\n"
         "edge i2 f1 eta=0.5\n"
     ),
+    "undecodable": b"nornet 1 x\nnode d\xff disease leak=0 prior=0.5\n",
     # neither disease is ever present, so f1, with leak 0, never is either
     "no_disease": (
         "nornet 1 none\n"
@@ -252,15 +286,18 @@ RUN = SAMPLE + ["--jobs", "1"]
 # lists its violations instead (TestValidateCommand).
 ERROR_CONTRACT = [
     (["validate", "{missing}"], "io"),
+    (["validate", "{undecodable}"], "io"),
     (["validate", "{malformed}"], "parse"),
     (GEN + ["-o", "{unwritable}"], "io"),
     (GEN + ["--fan-in", "7..9", "-o", "{out}"], "config"),
     (["reduce", "{missing}", "-o", "{out}"], "io"),
+    (["reduce", "{undecodable}", "-o", "{out}"], "io"),
     (["reduce", "{tiny}", "-o", "{unwritable}"], "io"),
     (["reduce", "{tiny}", "-o", "{out}", "--provenance", "{unwritable}"], "io"),
     (["reduce", "{malformed}", "-o", "{out}"], "parse"),
     (["reduce", "{cyclic}", "-o", "{out}"], "validation"),
     (["infer", "{missing}"], "io"),
+    (["infer", "{undecodable}"], "io"),
     (["infer", "{malformed}"], "parse"),
     (["infer", "{cyclic}"], "validation"),
     (["infer", "{tiny}", "--evidence", "d1=1"], "domain"),
@@ -268,15 +305,18 @@ ERROR_CONTRACT = [
     (["infer", "{tiny}", "--conjunction", "x9"], "domain"),
     (["infer", "{no_disease}", "--evidence", "f1=1"], "evidence"),
     (["sample", "{missing}", *SAMPLE, "-o", "{out}"], "io"),
+    (["sample", "{undecodable}", *SAMPLE, "-o", "{out}"], "io"),
     (["sample", "{malformed}", *SAMPLE, "-o", "{out}"], "parse"),
     (["sample", "{cyclic}", *SAMPLE, "-o", "{out}"], "validation"),
     (["sample", "{tiny}", "--cases", "0", "--seed", "1", "-o", "{out}"], "domain"),
     (["sample", "{no_disease}", *SAMPLE, "--require-positive", "-o", "{out}"], "exhaustion"),
     (["sample", "{tiny}", *SAMPLE, "-o", "{unwritable}"], "io"),
     (["analyze", "{missing}"], "io"),
+    (["analyze", "{undecodable}"], "io"),
     (["analyze", "{malformed}"], "parse"),
     (["analyze", "{cyclic}"], "validation"),
     (["experiment", "{missing}", *RUN, "-o", "{out}"], "io"),
+    (["experiment", "{undecodable}", *RUN, "-o", "{out}"], "io"),
     (["experiment", "{malformed}", *RUN, "-o", "{out}"], "parse"),
     (["experiment", "{cyclic}", *RUN, "-o", "{out}"], "validation"),
     (["experiment", "{tiny}", "--cases", "0", "--seed", "1", "--jobs", "1", "-o", "{out}"],
@@ -307,7 +347,7 @@ def test_error_contract(argv, error_class, tmp_path, capfd):
     }
     for name, text in CONTRACT_FILES.items():
         paths[name] = tmp_path / f"{name}.net"
-        paths[name].write_text(text)
+        paths[name].write_bytes(text if isinstance(text, bytes) else text.encode("utf-8"))
     assert main([arg.format(**paths) for arg in argv]) == 1
     err = capfd.readouterr().err
     assert err.startswith(f"error:{error_class}: ")

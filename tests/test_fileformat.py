@@ -110,10 +110,17 @@ class TestParseErrors:
             parse_network("nornet 1 x\nnode b1 ips\n")
 
     def test_unexpected_fields(self):
-        with pytest.raises(ParseError, match="neither prior nor phase"):
+        with pytest.raises(ParseError, match="ips node takes no prior"):
             parse_network("nornet 1 x\nnode b1 ips leak=0 prior=0.5\n")
         with pytest.raises(ParseError, match="unexpected field"):
             parse_network("nornet 1 x\nnode d1 disease leak=0 prior=0.1 color=red\n")
+
+    @pytest.mark.parametrize("node_id", ["a,b", "f=1", "a>b"])
+    def test_id_the_outputs_cannot_carry(self, node_id):
+        text = MINIMAL + f"node {node_id} ips leak=0\n"
+        with pytest.raises(ParseError, match=f"node id '{node_id}'") as err:
+            parse_network(text)
+        assert err.value.line == 5
 
     def test_edge_before_node_rejected(self):
         with pytest.raises(ParseError, match="nodes must precede edges"):

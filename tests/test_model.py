@@ -93,6 +93,11 @@ class TestValidate:
         bad = Network("ws", [disease("d x", 0.1), finding("f", 0.0, 1)], [])
         assert "node-id" in [v.code for v in validate(bad)]
 
+    @pytest.mark.parametrize("node_id", ["a,b", "f=1", "a>b"])
+    def test_id_the_outputs_cannot_carry_rejected(self, node_id):
+        bad = Network("ids", [disease("d", 0.1), ips(node_id)], [])
+        assert [v.code for v in validate(bad)] == ["node-id"]
+
     def test_disease_leak_must_be_zero(self):
         from nornet import Node, NodeKind
 
