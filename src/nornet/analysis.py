@@ -142,7 +142,7 @@ class StarConfig:
         return len(self.q)
 
 
-def star_network(cfg: StarConfig, name: str = "star") -> Network:
+def star_network(cfg: StarConfig) -> Network:
     """Materialize the star as a concrete three-level network (diseases
     d01.., hub i01, findings f01..) for cross-checks against inference."""
     nodes = [disease(f"d{k + 1:02d}", cfg.priors[k]) for k in range(cfg.fan_in)]
@@ -152,7 +152,7 @@ def star_network(cfg: StarConfig, name: str = "star") -> Network:
     )
     edges = [Edge(f"d{k + 1:02d}", "i01", cfg.p[k]) for k in range(cfg.fan_in)]
     edges.extend(Edge("i01", f"f{j + 1:02d}", cfg.q[j]) for j in range(cfg.fan_out))
-    return Network(name, nodes, edges)
+    return Network("star", nodes, edges)
 
 
 def star_config_from_network(net: Network) -> StarConfig | None:

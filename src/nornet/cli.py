@@ -4,12 +4,13 @@ Each subcommand is a thin binding over the library; anything it prints or
 writes can be reproduced through the API. All randomness flows through
 ``--seed`` flags, so identical invocations produce identical bytes.
 Failures exit nonzero with a single ``error:<class>: <detail>`` line on
-stderr.
+stderr. Files and console output are UTF-8 whatever the locale.
 """
 
 from __future__ import annotations
 
 import argparse
+import io
 import os
 import sys
 from pathlib import Path
@@ -30,6 +31,9 @@ from .reduction import level_reduce
 
 
 def main(argv=None) -> int:
+    for stream in (sys.stdout, sys.stderr):
+        if isinstance(stream, io.TextIOWrapper):
+            stream.reconfigure(encoding="utf-8", errors=stream.errors)
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:

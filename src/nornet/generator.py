@@ -8,6 +8,7 @@ whose fan-out is drawn from ``fan_out_range`` over the findings. Findings
 left without a parent get one repair parent so every finding is reachable.
 With ``n_ips == 0`` the generator produces a two-level network whose
 findings draw their parent counts from ``fan_in_range`` directly.
+Each finding's phase is drawn uniformly from 1..5 with one draw.
 
 All drawing comes from one SplitMix64 stream seeded by ``seed``; the same
 config always yields the byte-identical network.
@@ -18,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ConfigError
-from .model import Edge, Network, disease, finding, ips
+from .model import PHASES, Edge, Network, disease, finding, ips
 from .rng import SplitMix64
 
 
@@ -33,7 +34,6 @@ class GeneratorConfig:
     eta_range: tuple[float, float] = (0.2, 0.9)
     leak_range: tuple[float, float] = (0.0, 0.05)
     prior_range: tuple[float, float] = (0.05, 0.5)
-    phase_weights: tuple[float, float, float, float, float] = (1, 1, 1, 1, 1)
     seed: int = 0
 
     def __post_init__(self):
@@ -60,10 +60,6 @@ class GeneratorConfig:
             raise ConfigError(f"prior_range ({lo}, {hi}) must lie inside (0, 1)")
         if not 0.0 <= self.ips_chain_prob <= 1.0:
             raise ConfigError(f"ips_chain_prob {self.ips_chain_prob} outside [0, 1]")
-        if len(self.phase_weights) != 5 or any(w < 0 for w in self.phase_weights):
-            raise ConfigError("phase_weights must be five nonnegative values")
-        if sum(self.phase_weights) <= 0:
-            raise ConfigError("phase_weights must not all be zero")
         if self.n_ips > 0 and self.fan_in_range[0] > self.n_diseases + self.n_ips - 1:
             raise ConfigError(
                 "fan_in_range lower bound exceeds every possible predecessor pool"
@@ -81,7 +77,7 @@ def generate_network(cfg: GeneratorConfig) -> Network:
     nodes = [disease(did, rng.uniform(*cfg.prior_range)) for did in d_ids]
     nodes.extend(ips(iid, rng.uniform(*cfg.leak_range)) for iid in i_ids)
     nodes.extend(
-        finding(fid, rng.uniform(*cfg.leak_range), 1 + rng.weighted_index(cfg.phase_weights))
+        finding(fid, rng.uniform(*cfg.leak_range), 1 + int(rng.next_float() * len(PHASES)))
         for fid in f_ids
     )
 

@@ -111,9 +111,6 @@ class Assignment(Mapping):
         inner = ", ".join(f"{k}={'1' if self._values[k] else '0'}" for k in self)
         return f"Assignment({inner})"
 
-    def present_ids(self) -> tuple[str, ...]:
-        return tuple(k for k in self if self._values[k])
-
     def union(self, *others: "Assignment") -> "Assignment":
         """Merge disjoint assignments; conflicting duplicate keys are an error."""
         merged = dict(self._values)
@@ -203,9 +200,6 @@ class Network:
             return self._nodes[node_id]
         except KeyError:
             raise DomainError(f"unknown node {node_id!r}") from None
-
-    def has_node(self, node_id: str) -> bool:
-        return node_id in self._nodes
 
     def edge(self, src: str, dst: str) -> Edge | None:
         return self._edges.get((src, dst))

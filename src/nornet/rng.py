@@ -49,14 +49,3 @@ class SplitMix64:
     def uniform(self, lo: float, hi: float) -> float:
         """Uniform float in [lo, hi] (degenerates to the constant when lo == hi)."""
         return lo + self.next_float() * (hi - lo)
-
-    def weighted_index(self, weights) -> int:
-        """Index drawn proportionally to the given positive weights."""
-        total = float(sum(weights))
-        u = self.next_float() * total
-        acc = 0.0
-        for i, w in enumerate(weights):
-            acc += w
-            if u < acc:
-                return i
-        return len(weights) - 1

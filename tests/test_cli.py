@@ -19,6 +19,21 @@ edge d1 f1 eta=0.5
 """
 
 
+def _run_in_c_locale(argv):
+    """Run ``nornet`` in a child interpreter whose locale encoding is ASCII."""
+    src = str(Path(nornet.__file__).resolve().parents[1])
+    env = {
+        **os.environ,
+        "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+        "LC_ALL": "C",
+        "PYTHONCOERCECLOCALE": "0",
+        "PYTHONUTF8": "0",
+    }
+    return subprocess.run(
+        [sys.executable, "-m", "nornet", *argv], env=env, capture_output=True, timeout=120
+    )
+
+
 @pytest.fixture
 def net_file(tmp_path):
     path = tmp_path / "tiny.net"
@@ -110,20 +125,35 @@ class TestReduceCommand:
         in_process = tmp_path / "a.net"
         assert main(["reduce", str(path), "-o", str(in_process)]) == 0
         child = tmp_path / "b.net"
-        src = str(Path(nornet.__file__).resolve().parents[1])
-        env = {
-            **os.environ,
-            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
-            "LC_ALL": "C",
-            "PYTHONCOERCECLOCALE": "0",
-            "PYTHONUTF8": "0",
-        }
-        done = subprocess.run(
-            [sys.executable, "-m", "nornet", "reduce", str(path), "-o", str(child)],
-            env=env, capture_output=True, text=True, timeout=120,
-        )
+        done = _run_in_c_locale(["reduce", str(path), "-o", str(child)])
         assert done.returncode == 0, done.stderr
         assert child.read_bytes() == in_process.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "command,text,status",
+    [
+        ("infer", MINIMAL.replace("d1", "fièvre"), 0),
+        (
+            "validate",
+            "nornet 1 bad\n"
+            "node fièvre disease leak=0 prior=0.1\n"
+            "node f finding leak=0 phase=1\n"
+            "edge f fièvre eta=0.5\n",
+            1,
+        ),
+    ],
+    ids=["infer", "validate"],
+)
+def test_output_is_utf8_whatever_the_locale(tmp_path, capsys, command, text, status):
+    path = tmp_path / "fievre.net"
+    path.write_bytes(text.encode("utf-8"))
+    assert main([command, str(path)]) == status
+    out = capsys.readouterr().out
+    assert "fièvre" in out
+    done = _run_in_c_locale([command, str(path)])
+    assert done.returncode == status, done.stderr
+    assert done.stdout == out.encode("utf-8")
 
 
 class TestInferCommand:

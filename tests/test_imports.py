@@ -3,9 +3,9 @@
 The package is stdlib-only at runtime, imports at module level only, and
 its modules import one another without cycles. Every name the benchmark
 scripts under ``perfbench/`` import from the package exists, and every
-top-level definition is used by the package or by those scripts, not by
-tests alone. The engine's modules keep no state that outlives a call:
-they bind constants only.
+top-level definition, method and property is used by the package or by
+those scripts, not by tests alone. The engine's modules keep no state
+that outlives a call: they bind constants only.
 """
 
 import ast
@@ -115,18 +115,37 @@ def _names(tree):
             yield from (alias.name for alias in node.names)
 
 
+def _is_dunder(name):
+    return name.startswith("__") and name.endswith("__")
+
+
 def test_every_top_level_definition_is_used_outside_tests():
     # a definition's own body (recursion) does not count as a use of it;
-    # an ``__init__`` re-export does
+    # an ``__init__`` re-export does. Methods and properties of package
+    # classes meet the same rule, dunders apart (Python calls those), and
+    # any name the benchmark scripts read counts as a use of a member.
     used = Counter(name for tree in MODULES.values() for name in _names(tree))
-    benchmark = {alias.name for _, node in _benchmark_imports() for alias in node.names}
+    imported = {alias.name for _, node in _benchmark_imports() for alias in node.names}
+    read = {
+        name
+        for path in BENCHMARK.glob("*.py")
+        for name in _names(ast.parse(path.read_text(), str(path)))
+    }
+    candidates = []
+    for module, tree in MODULES.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                candidates.append((f"{module}.{node.name}", node, imported))
+            if isinstance(node, ast.ClassDef):
+                candidates += [
+                    (f"{module}.{node.name}.{member.name}", member, read)
+                    for member in node.body
+                    if isinstance(member, ast.FunctionDef) and not _is_dunder(member.name)
+                ]
     unused = sorted(
-        f"{module}.{node.name}"
-        for module, tree in MODULES.items()
-        for node in tree.body
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-        and node.name not in benchmark
-        and used[node.name] == Counter(_names(node))[node.name]
+        qualified
+        for qualified, node, outside in candidates
+        if node.name not in outside and used[node.name] == Counter(_names(node))[node.name]
     )
     assert unused == []
 

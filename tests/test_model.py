@@ -236,7 +236,6 @@ class TestAssignment:
         assert list(a) == ["a", "z"]
         assert a["z"] is True
         assert len(a) == 2
-        assert a.present_ids() == ("z",)
 
     def test_union_disjoint_and_conflict(self):
         a = Assignment({"x": True})

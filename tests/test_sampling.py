@@ -37,13 +37,6 @@ class TestSplitMix64:
         with pytest.raises(ValueError):
             rng.randint(5, 2)
 
-    def test_weighted_index_skew(self):
-        rng = SplitMix64(9)
-        counts = [0, 0]
-        for _ in range(2000):
-            counts[rng.weighted_index((9, 1))] += 1
-        assert counts[0] > counts[1] * 4
-
 
 class TestSampleWorld:
     def test_all_zero_probabilities_gives_all_absent(self):
