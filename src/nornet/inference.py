@@ -6,16 +6,18 @@ Two independent engines answer every query:
   sharing prefix products along the topological order. This is the
   reference implementation everything else is checked against.
 * ``elimination`` — variable elimination over dense binary factors with a
-  min-degree ordering, for networks whose unobserved core is too large to
-  enumerate.
+  min-degree ordering, the faster engine once more than about nine nodes
+  are unobserved.
 
 Both engines first drop barren leaves (nodes with no observed or queried
 descendants); marginalizing such a node multiplies the joint by exactly 1,
 so the answers are unchanged while partial-evidence queries stay feasible.
 The ``auto`` method enumerates whenever the pruned unobserved count is at
-most ``DEFAULT_ENUMERATION_THRESHOLD`` and eliminates otherwise. Elimination
-builds full tables only for nodes with at most ``DEFAULT_MAX_FACTOR_PARENTS``
-parents.
+most ``DEFAULT_ENUMERATION_THRESHOLD`` (9, about where the two engines
+cost the same) and eliminates otherwise. Elimination builds full tables
+only for nodes with at most ``DEFAULT_MAX_FACTOR_PARENTS`` parents, so when
+a kept node has more, ``auto`` enumerates up to 20 unobserved nodes and
+above that eliminates, which raises the cap's :class:`DomainError`.
 
 An elimination pass is a symbolic plan, keyed by the kept nodes and the
 fixed ids (factor scopes, min-degree order, index maps), run numerically
@@ -35,8 +37,11 @@ from .errors import DomainError, EvidenceError, IncompleteAssignmentError
 from .factors import min_degree_order, sum_product_maps, sum_product_values
 from .model import Network, NodeKind, row_prob
 
-DEFAULT_ENUMERATION_THRESHOLD = 20
+DEFAULT_ENUMERATION_THRESHOLD = 9
 DEFAULT_MAX_FACTOR_PARENTS = 12
+# How far ``auto`` enumerates when a kept node is past the parent cap, which
+# elimination cannot take. It goes when factorized noisy-OR deletes the cap.
+_WIDE_ENUMERATION_LIMIT = 20
 
 
 @dataclass(frozen=True)
@@ -227,6 +232,18 @@ def _ve_likelihood(net, kept_order, fixed, cache):
 # -- shared dispatch ------------------------------------------------------------
 
 
+def _enumerates(compiled, kept_order, unobserved):
+    """Whether ``auto`` enumerates: up to the measured crossover, and up to
+    the wide limit when elimination would refuse a kept node. The parent
+    count is read only past the crossover, where elimination would run."""
+    if unobserved <= DEFAULT_ENUMERATION_THRESHOLD:
+        return True
+    return unobserved <= _WIDE_ENUMERATION_LIMIT and any(
+        len(compiled.rows[compiled.index[nid]][2]) > DEFAULT_MAX_FACTOR_PARENTS
+        for nid in kept_order
+    )
+
+
 def _query(net, fixed, track, method, cache):
     """P(fixed assignment) and, per tracked node, P(node present AND fixed).
     No tracked node is fixed: posteriors fix findings and track diseases.
@@ -236,7 +253,7 @@ def _query(net, fixed, track, method, cache):
     kept = _prune_barren(net, set(fixed) | set(track))
     unobserved = len(kept) - len(fixed)
     if method == "auto":
-        method = "enumeration" if unobserved <= DEFAULT_ENUMERATION_THRESHOLD else "elimination"
+        method = "enumeration" if _enumerates(net.compiled, kept, unobserved) else "elimination"
     if method == "enumeration":
         return _enum_query(net, kept, fixed, track)
     if method == "elimination":

@@ -17,6 +17,7 @@ from nornet import (
     disease,
     event_prob,
     finding,
+    generate_cases,
     generate_network,
     GeneratorConfig,
     ips,
@@ -24,6 +25,28 @@ from nornet import (
     marginal,
     posterior,
 )
+
+
+def _shared_finding_net(priors, eta=0.3):
+    """One leak-free finding ``f`` caused by one disease per prior."""
+    nodes = [disease(f"d{k:02d}", prior) for k, prior in enumerate(priors)]
+    nodes.append(finding("f", 0.0, 1))
+    edges = [Edge(f"d{k:02d}", "f", eta) for k in range(len(priors))]
+    return Network("wide", nodes, edges)
+
+
+def _unobserved(net, evidence):
+    """How many nodes a posterior leaves unobserved once barren nodes are
+    pruned: the diseases and every ancestor of the evidence, less the
+    evidence."""
+    kept = {n.id for n in net.nodes_of_kind(NodeKind.DISEASE)}
+    stack = list(evidence)
+    while stack:
+        nid = stack.pop()
+        if nid not in kept:
+            kept.add(nid)
+            stack.extend(pid for pid, _ in net.parents_of(nid))
+    return len(kept) - len(evidence)
 
 
 class TestJointProb:
@@ -229,11 +252,7 @@ class TestEngineAgreement:
         )
 
     def test_max_parent_cap_is_clear_error(self):
-        n = 13
-        nodes = [disease(f"d{k:02d}", 0.1) for k in range(n)]
-        nodes.append(finding("f", 0.0, 1))
-        edges = [Edge(f"d{k:02d}", "f", 0.3) for k in range(n)]
-        net = Network("wide", nodes, edges)
+        net = _shared_finding_net([0.1] * 13)
         with pytest.raises(DomainError, match="parents"):
             posterior(net, {"f": True}, method="elimination")
         # enumeration has no such cap
@@ -250,6 +269,42 @@ class TestEngineAgreement:
         assert posterior(net, {"f001": True}) == r_enum
         monkeypatch.setattr("nornet.inference.DEFAULT_ENUMERATION_THRESHOLD", 0)
         assert posterior(net, {"f001": True}) == r_elim
+
+    @pytest.mark.parametrize("n, method", [(9, "enumeration"), (10, "elimination")])
+    def test_auto_enumerates_at_most_nine_unobserved(self, n, method):
+        # n diseases stay unobserved; the engines differ in the last bits
+        net = _shared_finding_net([0.1] * n)
+        results = {m: posterior(net, {"f": True}, method=m) for m in ("enumeration", "elimination")}
+        assert results["enumeration"] != results["elimination"]
+        assert posterior(net, {"f": True}) == results[method]
+
+    @pytest.mark.parametrize("fan", [(1, 2), (3, 4)])
+    def test_auto_follows_the_rule_on_criterion_8_networks(self, fan):
+        net = generate_network(
+            GeneratorConfig(
+                3, 10, 30, fan_in_range=fan, fan_out_range=fan, ips_chain_prob=0.2,
+                eta_range=(0.2, 0.9), leak_range=(0.0, 0.05), prior_range=(0.05, 0.4), seed=7,
+            )
+        )
+        case = generate_cases(net, 1, seed=7)[0]
+        for phase in range(1, 6):
+            evidence = dict(case.cumulative_evidence(phase))
+            named = "enumeration" if _unobserved(net, evidence) <= 9 else "elimination"
+            other = {"enumeration": "elimination", "elimination": "enumeration"}[named]
+            result = posterior(net, evidence)
+            assert result == posterior(net, evidence, method=named)
+            assert result != posterior(net, evidence, method=other)
+
+    @pytest.mark.parametrize("n", [13, 20, 21])
+    def test_auto_enumerates_past_the_parent_cap_up_to_twenty_unobserved(self, n):
+        # priors of 0 keep enumeration to 2^4 leaves, while auto still
+        # counts all n diseases as unobserved
+        net = _shared_finding_net((0.1, 0.2, 0.3, 0.4) + (0.0,) * (n - 4))
+        if n <= 20:
+            assert posterior(net, {"f": True}) == posterior(net, {"f": True}, method="enumeration")
+        else:
+            with pytest.raises(DomainError, match=r"node 'f' has 21 parents; .* up to 12 parents"):
+                posterior(net, {"f": True})
 
 
 class TestEventProb:
