@@ -64,8 +64,6 @@ from .model import (
     disease,
     finding,
     ips,
-    local_cpd,
-    noisy_or_prob,
     validate,
 )
 from .reduction import (
@@ -126,11 +124,9 @@ __all__ = [
     "ips_path_stats",
     "joint_prob",
     "level_reduce",
-    "local_cpd",
     "log_odds",
     "marginal",
     "merge_parallel",
-    "noisy_or_prob",
     "paired_t",
     "parse_network",
     "posterior",

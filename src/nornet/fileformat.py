@@ -65,7 +65,10 @@ def parse_network(text: str, require_valid: bool = True) -> Network:
     name = None
     nodes: dict[str, Node] = {}
     edges: dict[tuple[str, str], Edge] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    # Lines end only at universal newlines, as ``Path.read_text`` and editors
+    # count them: ``str.splitlines`` would also break at \x0c, \x85, \u2028...
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

@@ -3,11 +3,15 @@
 Two independent engines answer every query:
 
 * ``enumeration`` — depth-first summation over all unobserved-node states,
-  sharing prefix products along the topological order. This is the
-  reference implementation everything else is checked against.
+  sharing prefix products along the topological order, the faster engine
+  for few unobserved nodes.
 * ``elimination`` — variable elimination over dense binary factors with a
   min-degree ordering, the faster engine once more than about nine nodes
   are unobserved.
+
+Neither is the other's reference: the tests check both against a
+brute-force oracle that sums every complete world and shares no
+inference code with the package.
 
 Both engines first drop barren leaves (nodes with no observed or queried
 descendants); marginalizing such a node multiplies the joint by exactly 1,

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
-from .errors import DomainError, IncompleteAssignmentError, ValidationError
+from .errors import DomainError, ValidationError
 
 
 class NodeKind(enum.Enum):
@@ -403,39 +403,3 @@ def check_prob(name: str, value: float) -> None:
     if not 0.0 <= value <= 1.0:
         raise DomainError(f"{name} {value} outside [0, 1]")
 
-
-def noisy_or_prob(leak: float, present_etas: Iterable[float]) -> float:
-    """Probability the effect is present given leak and the etas of its
-    present causes: 1 - (1 - leak) * prod(1 - eta).
-
-    With no present causes this is just the leak.
-    """
-    check_prob("leak", leak)
-    all_fail = 1.0
-    for eta in present_etas:
-        check_prob("eta", eta)
-        all_fail *= 1.0 - eta
-    if all_fail == 1.0:
-        return leak
-    return 1.0 - (1.0 - leak) * all_fail
-
-
-def local_cpd(net: Network, node_id: str, parent_assignment: Mapping) -> float:
-    """P(node present | parent values).
-
-    Diseases are roots, so they simply return their prior; other nodes
-    apply the leaky noisy-OR over the parents marked present. Every
-    parent must be assigned; absent parents contribute nothing.
-    """
-    node = net.node(node_id)
-    if node.kind is NodeKind.DISEASE:
-        return float(node.prior)
-    present = []
-    for pid, eta in net.parents_of(node_id):
-        if pid not in parent_assignment:
-            raise IncompleteAssignmentError(
-                f"parent {pid!r} of {node_id!r} has no assigned value"
-            )
-        if parent_assignment[pid]:
-            present.append(eta)
-    return noisy_or_prob(node.leak, present)

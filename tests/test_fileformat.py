@@ -87,6 +87,26 @@ class TestParseErrors:
         with pytest.raises(ParseError, match="unknown directive"):
             parse_network("nornet 1 x\nfrobnicate d1\n")
 
+    @pytest.mark.parametrize(
+        "char", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+    )
+    def test_only_newlines_end_a_line(self, char):
+        # str.splitlines also breaks at these; a file's lines do not
+        body = "node a disease leak=0 prior=0.5\n"
+        assert parse_network(f"nornet 1 x\n# note{char}tail\n{body}") == parse_network(
+            f"nornet 1 x\n# note\n{body}"
+        )
+        with pytest.raises(ParseError, match="unknown directive 'bogus'") as err:
+            parse_network(f"nornet 1 x\n# note{char}tail\n{body}bogus\n")
+        assert err.value.line == 4
+
+    @pytest.mark.parametrize("newline", ["\r\n", "\r"])
+    def test_crlf_and_cr_end_a_line(self, newline):
+        lines = ["nornet 1 x", "node a disease leak=0 prior=0.5", "bogus"]
+        with pytest.raises(ParseError, match="unknown directive 'bogus'") as err:
+            parse_network(newline.join(lines) + newline)
+        assert err.value.line == 3
+
     def test_duplicate_node_id(self):
         text = (
             "nornet 1 x\n"

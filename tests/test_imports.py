@@ -4,12 +4,14 @@ The package is stdlib-only at runtime, imports at module level only, and
 its modules import one another without cycles. Every name the benchmark
 scripts under ``perfbench/`` import from the package exists, and every
 top-level definition, method and property is used by the package or by
-those scripts, not by tests alone. The engine's modules keep no state
-that outlives a call: they bind constants only.
+those scripts, or is public API that README.md names, not used by tests
+alone. The engine's modules keep no state that outlives a call: they bind
+constants only.
 """
 
 import ast
 import importlib
+import re
 import sys
 from collections import Counter
 from pathlib import Path
@@ -17,6 +19,7 @@ from pathlib import Path
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "nornet"
 MODULES = {path.stem: ast.parse(path.read_text(), str(path)) for path in PACKAGE.glob("*.py")}
 BENCHMARK = PACKAGE.parent.parent / "perfbench"
+README = (PACKAGE.parent.parent / "README.md").read_text()
 
 
 def _imports(tree):
@@ -119,12 +122,28 @@ def _is_dunder(name):
     return name.startswith("__") and name.endswith("__")
 
 
+def _readme_names():
+    """Names README.md gives as toolkit API: each inline code span that is a
+    (dotted) name, and each name the Library overview imports from nornet."""
+    names = set(re.findall(r"`(?:\w+\.)*(\w+)`", README))
+    overview = README.split("## Library overview", 1)[1]
+    code = overview.split("```python\n", 1)[1].split("```", 1)[0]
+    for node in ast.walk(ast.parse(code)):
+        if isinstance(node, ast.ImportFrom) and node.module == "nornet":
+            names.update(alias.name for alias in node.names)
+    return names
+
+
 def test_every_top_level_definition_is_used_outside_tests():
-    # a definition's own body (recursion) does not count as a use of it;
-    # an ``__init__`` re-export does. Methods and properties of package
-    # classes meet the same rule, dunders apart (Python calls those), and
-    # any name the benchmark scripts read counts as a use of a member.
-    used = Counter(name for tree in MODULES.values() for name in _names(tree))
+    # a definition's own body (recursion) does not count as a use of it,
+    # and an ``__init__`` re-export counts only for a name README.md names.
+    # Methods and properties of package classes meet the same rule, dunders
+    # apart (Python calls those), and any name the benchmark scripts read
+    # counts as a use of a member.
+    used = Counter(
+        name for module, tree in MODULES.items() if module != "__init__" for name in _names(tree)
+    )
+    public = set(_names(MODULES["__init__"])) & _readme_names()
     imported = {alias.name for _, node in _benchmark_imports() for alias in node.names}
     read = {
         name
@@ -135,7 +154,7 @@ def test_every_top_level_definition_is_used_outside_tests():
     for module, tree in MODULES.items():
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                candidates.append((f"{module}.{node.name}", node, imported))
+                candidates.append((f"{module}.{node.name}", node, imported | public))
             if isinstance(node, ast.ClassDef):
                 candidates += [
                     (f"{module}.{node.name}.{member.name}", member, read)

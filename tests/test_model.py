@@ -4,17 +4,15 @@ from nornet import (
     Assignment,
     DomainError,
     Edge,
-    IncompleteAssignmentError,
     Network,
     SplitMix64,
     ValidationError,
     disease,
     finding,
     ips,
-    local_cpd,
-    noisy_or_prob,
     validate,
 )
+from nornet.model import row_prob
 
 from conftest import chain_net
 
@@ -135,57 +133,56 @@ class TestValidate:
         assert err.value.violations[0].code == "level-ordering"
 
 
-class TestNoisyOr:
+def _star(leak, etas):
+    """Diseases d0, d1, ... each feeding finding f with the given etas."""
+    return Network(
+        "star",
+        [disease(f"d{k}", 0.1) for k in range(len(etas))] + [finding("f", leak, 1)],
+        [Edge(f"d{k}", "f", eta) for k, eta in enumerate(etas)],
+    )
+
+
+def _row_prob(net, node_id, present):
+    """row_prob of ``node_id``'s compiled row with exactly ``present`` on."""
+    compiled = net.compiled
+    state = [nid in present for nid in compiled.order]
+    return row_prob(compiled.rows[compiled.index[node_id]], state)
+
+
+def _closed_form(leak, present_etas):
+    all_fail = 1.0
+    for eta in present_etas:
+        all_fail *= 1.0 - eta
+    return 1.0 - (1.0 - leak) * all_fail
+
+
+def _all_on(leak, etas):
+    return _row_prob(_star(leak, etas), "f", {f"d{k}" for k in range(len(etas))})
+
+
+class TestRowProb:
     def test_no_present_parents_returns_leak(self):
-        assert noisy_or_prob(0.2, []) == 0.2
+        # 1 - (1 - 0.2) is 0.19999999999999996, not 0.2
+        value = _row_prob(_star(0.2, [0.5]), "f", set())
+        assert value == pytest.approx(0.2)
+        assert value == _closed_form(0.2, [])
 
     def test_single_cause_no_leak(self):
-        assert noisy_or_prob(0.0, [0.3]) == pytest.approx(0.3)
+        value = _row_prob(_star(0.0, [0.3]), "f", {"d0"})
+        assert value == pytest.approx(0.3)
+        assert value == pytest.approx(_closed_form(0.0, [0.3]))
 
     def test_two_causes_with_leak(self):
         # 1 - 0.9 * 0.5 * 0.5
-        assert noisy_or_prob(0.1, [0.5, 0.5]) == pytest.approx(0.775)
+        value = _all_on(0.1, [0.5, 0.5])
+        assert value == pytest.approx(0.775)
+        assert value == pytest.approx(_closed_form(0.1, [0.5, 0.5]))
 
-    def test_out_of_range_rejected(self):
-        with pytest.raises(DomainError):
-            noisy_or_prob(-0.1, [])
-        with pytest.raises(DomainError):
-            noisy_or_prob(0.1, [1.5])
+    def test_three_present_parents_with_leak(self):
+        value = _all_on(0.1, [0.2, 0.3, 0.5])
+        assert value == pytest.approx(1 - 0.9 * 0.8 * 0.7 * 0.5)
+        assert value == pytest.approx(_closed_form(0.1, [0.2, 0.3, 0.5]))
 
-    def test_monotone_in_leak_and_etas(self):
-        rng = SplitMix64(11)
-        for _ in range(200):
-            leak = rng.next_float()
-            etas = [rng.next_float() for _ in range(rng.randint(0, 4))]
-            base = noisy_or_prob(leak, etas)
-            bumped_leak = min(1.0, leak + rng.next_float() * (1.0 - leak))
-            assert noisy_or_prob(bumped_leak, etas) >= base - 1e-15
-            if etas:
-                i = rng.randint(0, len(etas) - 1)
-                bumped = list(etas)
-                bumped[i] = min(1.0, etas[i] + rng.next_float() * (1.0 - etas[i]))
-                assert noisy_or_prob(leak, bumped) >= base - 1e-15
-
-    def test_permutation_invariant(self):
-        rng = SplitMix64(12)
-        for _ in range(100):
-            leak = rng.next_float()
-            etas = [rng.next_float() for _ in range(4)]
-            shuffled = sorted(etas, key=lambda _: rng.next_float())
-            assert noisy_or_prob(leak, etas) == pytest.approx(
-                noisy_or_prob(leak, shuffled), abs=1e-15
-            )
-
-    def test_zero_eta_is_identity_one_eta_saturates(self):
-        rng = SplitMix64(13)
-        for _ in range(100):
-            leak = rng.next_float()
-            etas = [rng.next_float() for _ in range(3)]
-            assert noisy_or_prob(leak, etas + [0.0]) == noisy_or_prob(leak, etas)
-            assert noisy_or_prob(leak, etas + [1.0]) == 1.0
-
-
-class TestLocalCpd:
     def test_absent_parents_contribute_nothing(self):
         net = Network(
             "two-parent",
@@ -198,36 +195,46 @@ class TestLocalCpd:
                 Edge("b2", "f", 0.9),
             ],
         )
-        value = local_cpd(net, "f", Assignment({"b1": True, "b2": False}))
-        assert value == pytest.approx(0.4)
+        for on in ({"b1"}, {"b1", "d1", "d2"}):
+            value = _row_prob(net, "f", on)
+            assert value == pytest.approx(0.4)
+            assert value == pytest.approx(_closed_form(0.0, [0.4]))
 
     def test_disease_returns_prior(self):
         net = chain_net(prior=0.07)
-        assert local_cpd(net, "a", Assignment()) == pytest.approx(0.07)
+        assert _row_prob(net, "a", set()) == 0.07
+        assert _row_prob(net, "a", {"a", "b", "c"}) == 0.07
 
-    def test_three_present_parents_with_leak(self):
-        net = Network(
-            "three",
-            [disease(f"d{k}", 0.1) for k in range(3)] + [finding("f", 0.1, 1)],
-            [Edge("d0", "f", 0.2), Edge("d1", "f", 0.3), Edge("d2", "f", 0.5)],
-        )
-        value = local_cpd(net, "f", {"d0": True, "d1": True, "d2": True})
-        assert value == pytest.approx(1 - 0.9 * 0.8 * 0.7 * 0.5)
+    def test_monotone_in_leak_and_etas(self):
+        rng = SplitMix64(11)
+        for _ in range(200):
+            leak = rng.next_float()
+            etas = [1.0 - rng.next_float() for _ in range(rng.randint(0, 4))]
+            base = _all_on(leak, etas)
+            assert base == pytest.approx(_closed_form(leak, etas), abs=1e-15)
+            bumped_leak = min(1.0, leak + rng.next_float() * (1.0 - leak))
+            assert _all_on(bumped_leak, etas) >= base - 1e-15
+            if etas:
+                i = rng.randint(0, len(etas) - 1)
+                bumped = list(etas)
+                bumped[i] = min(1.0, etas[i] + rng.next_float() * (1.0 - etas[i]))
+                assert _all_on(leak, bumped) >= base - 1e-15
 
-    def test_missing_parent_is_error(self):
-        net = chain_net()
-        with pytest.raises(IncompleteAssignmentError):
-            local_cpd(net, "c", Assignment())
+    def test_permutation_of_etas_over_parents(self):
+        rng = SplitMix64(12)
+        for _ in range(100):
+            leak = rng.next_float()
+            etas = [1.0 - rng.next_float() for _ in range(4)]
+            shuffled = sorted(etas, key=lambda _: rng.next_float())
+            assert _all_on(leak, etas) == pytest.approx(_all_on(leak, shuffled), abs=1e-15)
 
-    def test_extra_absent_parents_never_change_result(self):
-        net = Network(
-            "extra",
-            [disease("d1", 0.1), disease("d2", 0.2), finding("f", 0.05, 1)],
-            [Edge("d1", "f", 0.6), Edge("d2", "f", 0.7)],
-        )
-        a = local_cpd(net, "f", {"d1": True, "d2": False})
-        b = local_cpd(net, "f", {"d1": True, "d2": False, "unrelated": True})
-        assert a == b
+    def test_one_eta_saturates(self):
+        rng = SplitMix64(13)
+        for _ in range(100):
+            leak = rng.next_float()
+            etas = [1.0 - rng.next_float() for _ in range(3)]
+            assert _all_on(leak, etas + [1.0]) == 1.0
+            assert _closed_form(leak, etas + [1.0]) == 1.0
 
 
 class TestAssignment:
