@@ -55,7 +55,6 @@ from .inference import (
     posterior,
 )
 from .model import (
-    Assignment,
     Edge,
     Network,
     Node,
@@ -82,7 +81,6 @@ from .stats import log_odds, paired_t, t_critical, two_sided_p
 __version__ = "0.1.0"
 
 __all__ = [
-    "Assignment",
     "CellStats",
     "ConfigError",
     "DegenerateVarianceError",

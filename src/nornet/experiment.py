@@ -16,13 +16,12 @@ from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from collections.abc import Mapping
 from functools import partial
 from math import ceil
 
 from .errors import DegenerateVarianceError, DomainError, ExhaustionError
 from .inference import _Elimination, _posterior
-from .model import Assignment, Network, NodeKind, PHASES
+from .model import Network, NodeKind, PHASES
 from .reduction import level_reduce
 from .rng import SplitMix64
 from .sampling import sample_world
@@ -35,15 +34,19 @@ _RETRY_SALT = 0xD1B54A32D192ED03
 @dataclass(frozen=True)
 class TestCase:
     """One sampled world: the true disease states and every finding value,
-    bucketed by the phase in which the finding is revealed."""
+    bucketed by the phase in which the finding is revealed. The buckets
+    are disjoint: each finding has one phase."""
 
     case_id: int
-    true_diseases: Assignment
-    findings_by_phase: Mapping[int, Assignment]
+    true_diseases: dict[str, bool]
+    findings_by_phase: dict[int, dict[str, bool]]
 
-    def cumulative_evidence(self, phase: int) -> Assignment:
-        """Union of the finding buckets for phases 1..phase."""
-        return Assignment().union(*(self.findings_by_phase[k] for k in PHASES[:phase]))
+    def cumulative_evidence(self, phase: int) -> dict[str, bool]:
+        """The finding buckets for phases 1..phase, merged into a new dict."""
+        evidence = {}
+        for k in PHASES[:phase]:
+            evidence.update(self.findings_by_phase[k])
+        return evidence
 
 
 def generate_cases(
@@ -79,13 +82,7 @@ def generate_cases(
         buckets = {k: {} for k in PHASES}
         for node in findings:
             buckets[node.phase][node.id] = world[node.id]
-        cases.append(
-            TestCase(
-                case_id,
-                Assignment({d: world[d] for d in diseases}),
-                {k: Assignment(v) for k, v in buckets.items()},
-            )
-        )
+        cases.append(TestCase(case_id, {d: world[d] for d in diseases}, buckets))
     return cases
 
 
@@ -171,9 +168,7 @@ def run_experiment(
     cases = generate_cases(full, n_cases, seed)
     diseases = sorted(n.id for n in full.nodes_of_kind(NodeKind.DISEASE))
 
-    tasks = [
-        [dict(case.cumulative_evidence(phase)) for phase in PHASES] for case in cases
-    ]
+    tasks = [[case.cumulative_evidence(phase) for phase in PHASES] for case in cases]
     # One elimination cache per network for this call: every case fixes the
     # same finding ids at a phase, so plans and node tables repeat. In a
     # pool, each chunk unpickles its own empty copy.

@@ -6,8 +6,10 @@ Every non-root node combines its parents through a leaky noisy-OR: each
 incoming edge carries an activation probability, and the node's leak is
 the probability it turns on with every modeled parent absent.
 
-Networks and assignments are immutable after construction, so they can be
-shared freely across threads and worker processes.
+Networks are immutable after construction, so they can be shared freely
+across threads and worker processes. Worlds and evidence are plain
+``dict[str, bool]`` maps of node id to present (True) / absent (False);
+every function that returns one builds a new dict per call.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from __future__ import annotations
 import enum
 import heapq
 import re
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -76,57 +78,6 @@ class Edge:
     src: str
     dst: str
     eta: float
-
-
-class Assignment(Mapping):
-    """Immutable partial map of node ids to present (True) / absent (False).
-
-    Iteration is in ascending id order so that any derived output is
-    deterministic.
-    """
-
-    __slots__ = ("_values",)
-
-    def __init__(self, values: Mapping[str, bool] | Iterable[tuple[str, bool]] = ()):
-        items = values.items() if isinstance(values, Mapping) else values
-        self._values = {k: bool(v) for k, v in items}
-
-    def __getitem__(self, key: str) -> bool:
-        return self._values[key]
-
-    def __iter__(self):
-        return iter(sorted(self._values))
-
-    def __len__(self) -> int:
-        return len(self._values)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, Assignment):
-            return self._values == other._values
-        if isinstance(other, Mapping):
-            return self._values == dict(other)
-        return NotImplemented
-
-    def __repr__(self) -> str:
-        inner = ", ".join(f"{k}={'1' if self._values[k] else '0'}" for k in self)
-        return f"Assignment({inner})"
-
-    def union(self, *others: "Assignment") -> "Assignment":
-        """Merge disjoint assignments; conflicting duplicate keys are an error."""
-        merged = dict(self._values)
-        for other in others:
-            for k, v in other._values.items():
-                if k in merged and merged[k] != v:
-                    raise DomainError(f"conflicting value for {k!r} in assignment union")
-                merged[k] = v
-        return Assignment(merged)
-
-    # Plain-dict state keeps instances picklable despite __slots__.
-    def __getstate__(self):
-        return self._values
-
-    def __setstate__(self, state):
-        self._values = state
 
 
 @dataclass(frozen=True)

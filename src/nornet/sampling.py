@@ -8,17 +8,18 @@ world for a given (network, seed) pair is therefore bit-for-bit stable.
 
 from __future__ import annotations
 
-from .model import Assignment, Network, row_prob
+from .model import Network, row_prob
 from .rng import SplitMix64
 
 
-def sample_world(net: Network, seed: int) -> Assignment:
+def sample_world(net: Network, seed: int) -> dict[str, bool]:
     """Draw one complete world: diseases from their priors, every other
-    node from its leaky noisy-OR given the already-sampled parents."""
+    node from its leaky noisy-OR given the already-sampled parents. The
+    world is a new dict of every node id to its state."""
     net.require_valid()
     compiled = net.compiled
     next_float = SplitMix64(seed).next_float
     states = [False] * len(compiled.rows)
     for i, row in enumerate(compiled.rows):
         states[i] = next_float() < row_prob(row, states)
-    return Assignment(zip(compiled.order, states))
+    return dict(zip(compiled.order, states))

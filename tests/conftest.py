@@ -3,7 +3,16 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from nornet import Edge, Network, SplitMix64, disease, finding, ips
+from nornet import (
+    Edge,
+    GeneratorConfig,
+    Network,
+    SplitMix64,
+    disease,
+    finding,
+    generate_network,
+    ips,
+)
 
 
 def chain_net(prior=0.3, p=0.8, q=0.9, rho_b=0.0, rho_c=0.1, name="chain"):
@@ -61,3 +70,14 @@ def random_unit_fan_net(seed: int) -> Network:
         else:
             edges.append(Edge(src, f"f{j}", rng.uniform(0.1, 0.95)))
     return Network(f"unitfan-{seed}", nodes, edges)
+
+
+def criterion_8_net(fan) -> Network:
+    """An acceptance criterion-8 network (3 diseases, 10 intermediates, 30
+    findings) with fan-in and fan-out drawn from ``fan``."""
+    return generate_network(
+        GeneratorConfig(
+            3, 10, 30, fan_in_range=fan, fan_out_range=fan, ips_chain_prob=0.2,
+            eta_range=(0.2, 0.9), leak_range=(0.0, 0.05), prior_range=(0.05, 0.4), seed=7,
+        )
+    )

@@ -70,6 +70,18 @@ class TestGenerateCases:
             previous = current
         assert len(previous) == 15
 
+    def test_cumulative_evidence_is_a_new_dict_per_call(self):
+        net = generate_network(GeneratorConfig(2, 3, 15, seed=3))
+        (case,) = generate_cases(net, 1, seed=0)
+        buckets = {k: dict(v) for k, v in case.findings_by_phase.items()}
+        for phase in range(1, 6):
+            before = case.cumulative_evidence(phase)
+            mutated = case.cumulative_evidence(phase)
+            mutated.clear()
+            mutated["extra"] = True
+            assert case.cumulative_evidence(phase) == before
+            assert case.findings_by_phase == buckets
+
     def test_require_positive_rejects_negative_worlds(self):
         net = chain_net(prior=0.05)
         cases = generate_cases(net, 60, seed=2, require_positive=True)

@@ -4,9 +4,8 @@ import pytest
 
 import oracle
 from nornet import inference
-from conftest import chain_net, fork_net
+from conftest import chain_net, criterion_8_net, fork_net
 from nornet import (
-    Assignment,
     DomainError,
     Edge,
     EvidenceError,
@@ -295,6 +294,25 @@ class TestEngineAgreement:
             assert result == posterior(net, evidence, method=named)
             assert result != posterior(net, evidence, method=other)
 
+    @pytest.mark.parametrize("fan", [(1, 2), (3, 4)])
+    def test_evidence_order_does_not_change_the_posterior(self, fan):
+        # one shared cache, as in run_experiment: a plan cached for one
+        # order serves the other
+        net = criterion_8_net(fan)
+        case = generate_cases(net, 1, seed=7)[0]
+        shared = inference._Elimination()
+        for phase in range(1, 6):
+            evidence = case.cumulative_evidence(phase)
+            reverse = dict(reversed(evidence.items()))
+            assert len(evidence) > 1
+            methods = ("enumeration", "elimination", "auto")
+            results = {m: posterior(net, evidence, method=m) for m in methods}
+            for method, expected in results.items():
+                assert posterior(net, reverse, method=method) == expected
+            for ev in (evidence, reverse):
+                result = inference._posterior(net, ev, None, "elimination", shared)
+                assert result == results["elimination"]
+
     @pytest.mark.parametrize("n", [13, 20, 21])
     def test_auto_enumerates_past_the_parent_cap_up_to_twenty_unobserved(self, n):
         # priors of 0 keep enumeration to 2^4 leaves, while auto still
@@ -320,7 +338,7 @@ class TestEventProb:
 
     def test_accepts_assignment_objects(self):
         net = chain_net()
-        assert event_prob(net, Assignment({"c": True})) == pytest.approx(
+        assert event_prob(net, {"c": True}) == pytest.approx(
             oracle.event_prob(net, {"c": True}), abs=1e-14
         )
 

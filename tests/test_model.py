@@ -1,7 +1,6 @@
 import pytest
 
 from nornet import (
-    Assignment,
     DomainError,
     Edge,
     Network,
@@ -235,24 +234,6 @@ class TestRowProb:
             etas = [1.0 - rng.next_float() for _ in range(3)]
             assert _all_on(leak, etas + [1.0]) == 1.0
             assert _closed_form(leak, etas + [1.0]) == 1.0
-
-
-class TestAssignment:
-    def test_mapping_protocol_and_sorted_iteration(self):
-        a = Assignment({"z": True, "a": False})
-        assert list(a) == ["a", "z"]
-        assert a["z"] is True
-        assert len(a) == 2
-
-    def test_union_disjoint_and_conflict(self):
-        a = Assignment({"x": True})
-        b = Assignment({"y": False})
-        assert dict(a.union(b)) == {"x": True, "y": False}
-        with pytest.raises(DomainError):
-            a.union(Assignment({"x": False}))
-
-    def test_equality_with_plain_mapping(self):
-        assert Assignment({"x": True}) == {"x": True}
 
 
 class TestTopologicalOrder:
