@@ -76,7 +76,7 @@ from .reduction import (
 )
 from .rng import SplitMix64
 from .sampling import sample_world
-from .stats import log_odds, paired_t, t_critical, two_sided_p
+from .stats import log_odds, paired_t, two_sided_p
 
 __version__ = "0.1.0"
 
@@ -139,7 +139,6 @@ __all__ = [
     "serialize_network",
     "star_config_from_network",
     "star_network",
-    "t_critical",
     "two_sided_p",
     "validate",
 ]

@@ -25,7 +25,7 @@ from .model import Network, NodeKind, PHASES
 from .reduction import level_reduce
 from .rng import SplitMix64
 from .sampling import sample_world
-from .stats import is_significant, log_odds, paired_t
+from .stats import log_odds, paired_t, two_sided_p
 
 _RETRY_LIMIT = 10_000
 _RETRY_SALT = 0xD1B54A32D192ED03
@@ -271,4 +271,5 @@ def _paired_log_odds_t(two: list[float], three: list[float]):
         t, df = paired_t(lo_two, lo_three)
     except DegenerateVarianceError:
         return None, None, None, None
-    return t, df, is_significant(t, df, 0.95), is_significant(t, df, 0.975)
+    p = two_sided_p(t, df)
+    return t, df, p < 0.05, p < 0.025

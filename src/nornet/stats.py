@@ -1,17 +1,15 @@
 """Log-odds transform and paired t machinery.
 
-The t critical values are computed in-process (regularized incomplete
-beta via Lentz's continued fraction, inverted by bisection) for df up to
-10**8. Past that the ``lgamma`` difference in the beta's front factor
-loses its digits, and the value is the normal limit from the standard
-library's ``statistics.NormalDist.inv_cdf``, which is within 4e-8 of the
-true t quantile at the cutover and closer beyond it.
+Significance is the two-sided tail probability of Student's t, computed
+in-process as a regularized incomplete beta (Lentz's continued fraction)
+for df up to 10**8. Past that the ``lgamma`` difference in the beta's
+front factor loses its digits, and the tail is the normal limit from the
+standard library's ``statistics.NormalDist``.
 """
 
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 from statistics import NormalDist
 
 from .errors import DegenerateVarianceError, DomainError
@@ -33,8 +31,8 @@ def paired_t(a: list[float], b: list[float]) -> tuple[float, int]:
     """Paired t statistic and degrees of freedom for matched samples.
 
     Differences are a[i] - b[i]; the standard deviation uses the n-1
-    denominator. All-zero differences give t = 0; zero variance with a
-    nonzero mean is an error (t would be infinite).
+    denominator. All-zero differences give t = 0; differences that are all
+    one nonzero value are an error (zero variance: t would be infinite).
     """
     if len(a) != len(b):
         raise DomainError(f"paired samples differ in length: {len(a)} vs {len(b)}")
@@ -42,58 +40,29 @@ def paired_t(a: list[float], b: list[float]) -> tuple[float, int]:
     if n < 2:
         raise DomainError("paired t needs at least two pairs")
     diffs = [x - y for x, y in zip(a, b)]
-    mean = sum(diffs) / n
-    var = sum((d - mean) ** 2 for d in diffs) / (n - 1)
-    sd = math.sqrt(var)
-    if sd == 0.0:
-        if mean == 0.0:
+    if all(d == diffs[0] for d in diffs):
+        if diffs[0] == 0.0:
             return 0.0, n - 1
         raise DegenerateVarianceError(
-            f"paired differences are constant ({mean}) with zero variance"
+            f"paired differences are constant ({diffs[0]}) with zero variance"
         )
+    mean = sum(diffs) / n
+    sd = math.sqrt(sum((d - mean) ** 2 for d in diffs) / (n - 1))
     return mean / (sd / math.sqrt(n)), n - 1
 
 
 def two_sided_p(t: float, df: int) -> float:
-    """P(|T| >= t) for Student's t with df degrees of freedom."""
+    """P(|T| >= t) for Student's t with df degrees of freedom; the normal
+    limit past df 10**8."""
     if df < 1:
         raise DomainError(f"degrees of freedom {df} < 1")
     t = abs(float(t))
     if t == 0.0:
         return 1.0
+    if df > _NORMAL_APPROX_DF:
+        return 2.0 * NormalDist().cdf(-t)
     x = df / (df + t * t)
     return _reg_incomplete_beta(df / 2.0, 0.5, x)
-
-
-@lru_cache(maxsize=None)
-def t_critical(df: int, confidence: float) -> float:
-    """Two-sided critical value: |t| beyond it is significant at the given
-    confidence level (e.g. 0.95 or 0.975)."""
-    if df < 1:
-        raise DomainError(f"degrees of freedom {df} < 1")
-    if not 0.0 < confidence < 1.0:
-        raise DomainError(f"confidence {confidence} outside (0, 1)")
-    alpha = 1.0 - confidence
-    if df > _NORMAL_APPROX_DF:
-        return NormalDist().inv_cdf(1.0 - alpha / 2.0)
-    lo, hi = 0.0, 2.0
-    while two_sided_p(hi, df) > alpha:
-        hi *= 2.0
-        if hi > 1e9:
-            raise DomainError(f"no critical value below 1e9 for df={df}")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if two_sided_p(mid, df) > alpha:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-12 * max(1.0, hi):
-            break
-    return 0.5 * (lo + hi)
-
-
-def is_significant(t: float, df: int, confidence: float) -> bool:
-    return abs(t) > t_critical(df, confidence)
 
 
 def _reg_incomplete_beta(a: float, b: float, x: float) -> float:

@@ -333,6 +333,7 @@ ERROR_CONTRACT = [
     (["infer", "{tiny}", "--evidence", "d1=1"], "domain"),
     (["infer", "{tiny}", "--evidence", "x9=1"], "domain"),
     (["infer", "{tiny}", "--conjunction", "x9"], "domain"),
+    (["infer", "{tiny}", "--evidence", "f1=0", "--conjunction", "f1"], "domain"),
     (["infer", "{no_disease}", "--evidence", "f1=1"], "evidence"),
     (["sample", "{missing}", *SAMPLE, "-o", "{out}"], "io"),
     (["sample", "{undecodable}", *SAMPLE, "-o", "{out}"], "io"),

@@ -156,6 +156,29 @@ class TestParseErrors:
         with pytest.raises(ParseError, match="empty"):
             parse_network("# nothing here\n")
 
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("nornet 1", "header must be 'nornet 1 <name>'"),
+            ("node d2", "node line needs 'node <id> <kind> ...'"),
+            ("node i1 organ leak=0", "unknown node kind 'organ'"),
+            ("edge d1 f1", "edge line needs 'edge <src> <dst> eta=<float>'"),
+            ("edge d1 zz eta=0.5", "unknown node 'zz' (nodes must precede edges)"),
+            ("edge d1 f1 eta=0.25", "duplicate edge d1->f1"),
+            ("node i1 ips leak=0 leak=0.5", "repeated field 'leak'"),
+        ],
+        ids=["short-header", "short-node", "unknown-kind", "short-edge",
+             "unknown-target", "repeated-edge", "repeated-field"],
+    )
+    def test_malformed_line_names_its_fault_and_line(self, line, message):
+        # a header line stands alone; every other line follows MINIMAL's four
+        lineno = 1 if line.startswith("nornet") else 5
+        text = f"{line}\n" if lineno == 1 else f"{MINIMAL}{line}\n"
+        with pytest.raises(ParseError) as err:
+            parse_network(text)
+        assert str(err.value) == f"line {lineno}: {message}"
+        assert err.value.line == lineno
+
     def test_whole_network_validation_failure(self):
         text = (
             "nornet 1 cyc\n"
@@ -216,3 +239,20 @@ class TestCsvOutputs:
         assert len(lines) == 1 + 5  # five phases, one disease
         for line in lines[1:]:
             assert len(line.split(",")) == 11
+
+    def test_report_csv_leaves_t_empty_for_constant_nonzero_differences(self):
+        # d0 fans out through i0 to two findings, so reduction moves its
+        # posterior. At seed 49, two of three cases have d0 present and
+        # both show the same findings: their log-odds differences are one
+        # nonzero value with zero variance, and no t can be formed
+        net = fork_net(p=(0.9,), q=(0.5, 0.5), priors=(0.5,))
+        present = [c for c in generate_cases(net, 3, seed=49) if c.true_diseases["d0"]]
+        assert len(present) == 2
+        assert present[0].findings_by_phase == present[1].findings_by_phase
+        rows = report_csv(run_experiment(net, 3, seed=49)).splitlines()[1:]
+        assert len(rows) == 5
+        for row in rows:
+            _, _, n_cases, *means, t_stat, df, sig95, sig975 = row.split(",")
+            assert n_cases == "2"
+            assert "" not in means and means[0] != means[1]
+            assert (t_stat, df, sig95, sig975) == ("", "", "", "")

@@ -142,6 +142,10 @@ class TestPosterior:
         with pytest.raises(DomainError):
             posterior(net, {"b": True})
 
+    def test_unknown_method_rejected(self):
+        with pytest.raises(DomainError, match="unknown inference method 'bogus'"):
+            posterior(chain_net(), {"c": True}, method="bogus")
+
     def test_impossible_evidence_is_error(self):
         # leak-free finding with absent-only cause cannot be present
         net = Network(

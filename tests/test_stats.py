@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from nornet import DegenerateVarianceError, DomainError, log_odds, paired_t, t_critical, two_sided_p
+from nornet import DegenerateVarianceError, DomainError, log_odds, paired_t, two_sided_p
 
 
 def t_density(x: float, df: int) -> float:
@@ -23,6 +23,15 @@ def tail_prob_by_quadrature(t: float, df: int, steps: int = 4000) -> float:
         total += (4 if k % 2 else 2) * t_density(k * h, df)
     inner = total * h / 3
     return 1.0 - 2.0 * inner
+
+
+def t_at_tail(alpha: float, df: int) -> float:
+    """The |t| at which two_sided_p falls to alpha, by bisection."""
+    lo, hi = 0.0, 1000.0
+    for _ in range(100):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if two_sided_p(mid, df) > alpha else (lo, mid)
+    return hi
 
 
 class TestLogOdds:
@@ -58,6 +67,10 @@ class TestPairedT:
     def test_constant_nonzero_diff_is_degenerate(self):
         with pytest.raises(DegenerateVarianceError):
             paired_t([5.0, 5.0], [0.0, 0.0])
+        # the mean of [0.1] * 3 rounds away from 0.1, so a variance taken
+        # around it is not zero and t would come out near 1e16
+        with pytest.raises(DegenerateVarianceError):
+            paired_t([0.1] * 3, [0.0] * 3)
 
     def test_too_short_rejected(self):
         with pytest.raises(DomainError):
@@ -84,12 +97,12 @@ class TestStudentT:
         ],
     )
     def test_critical_values_match_standard_table(self, df, expected):
-        assert t_critical(df, 0.95) == pytest.approx(expected, abs=1e-6)
+        assert two_sided_p(expected, df) == pytest.approx(0.05, abs=1e-8)
 
     @pytest.mark.parametrize("df", [1, 2, 5, 17, 60, 400, 1001, 5000])
     @pytest.mark.parametrize("confidence", [0.95, 0.975])
     def test_round_trip_against_quadrature(self, df, confidence):
-        critical = t_critical(df, confidence)
+        critical = t_at_tail(1.0 - confidence, df)
         assert tail_prob_by_quadrature(critical, df) == pytest.approx(
             1.0 - confidence, abs=1e-7
         )
@@ -102,12 +115,17 @@ class TestStudentT:
                 )
 
     def test_large_df_approaches_normal(self):
-        assert t_critical(10**9, 0.95) == pytest.approx(1.9599639845, abs=1e-6)
-        assert t_critical(10**9, 0.975) == pytest.approx(2.2414027276, abs=1e-6)
+        # past df 10**8 the incomplete beta's front factor loses its digits
+        # (0.0199 for 0.05 at df 10**15), so the tail is the normal limit
+        for df in (10**9, 10**15):
+            assert two_sided_p(1.959963984540054, df) == pytest.approx(0.05, abs=1e-9)
+            assert two_sided_p(2.241402727604947, df) == pytest.approx(0.025, abs=1e-9)
 
     def test_critical_decreases_with_df(self):
-        values = [t_critical(df, 0.95) for df in (1, 2, 5, 20, 100, 1000)]
+        # equivalently, the tail beyond a fixed t shrinks as df grows
+        values = [two_sided_p(2.0, df) for df in (1, 2, 5, 20, 100, 1000, 10**9)]
         assert values == sorted(values, reverse=True)
+        assert len(set(values)) == len(values)
 
     def test_zero_t_never_significant(self):
         assert two_sided_p(0.0, 7) == 1.0
