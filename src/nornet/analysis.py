@@ -12,8 +12,9 @@ inference module run on the concrete star networks.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
-from collections.abc import Mapping
+from collections.abc import Iterable, Mapping
 
 from .errors import DomainError
 from .model import Edge, Network, NodeKind, check_prob, disease, finding, ips
@@ -188,12 +189,18 @@ def fan_in_ratio(cfg: StarConfig) -> float:
         {q (1 - rho_i) [1 - prod(1 - p_k)] + rho_f prod(1 - p_k)}
         ---------------------------------------------------------
                  [1 - prod(1 - p_k q)] (1 - rho_f)
+
+    Raises DomainError when the denominator is zero (q or every p_k is 0,
+    or rho_f is 1) or below the smallest normal double, where it has lost
+    its digits. The numerator is at most 1, so the ratio cannot overflow.
     """
     if cfg.fan_out != 1:
         raise DomainError("fan_in_ratio needs fan-out 1")
     numerator, denominator = _fan_in_terms(cfg)
-    if denominator == 0.0:
-        raise DomainError("collapsed-network likelihood is zero for this star")
+    if denominator < sys.float_info.min:
+        if cfg.q[0] == 0.0 or not any(cfg.p) or cfg.rho_f[0] == 1.0:
+            raise DomainError("collapsed-network likelihood is zero for this star")
+        raise DomainError("collapsed-network likelihood underflows a double for this star")
     return numerator / denominator
 
 
@@ -217,7 +224,10 @@ def fan_out_ratio(p: float, q: list[float], rho_f: list[float]) -> tuple[float, 
         approx = 1 / p**(n-1)
 
     The approximation assumes leaks are small against activation
-    probabilities.
+    probabilities. ``exact`` is divided through term by term, as approx +
+    (1 - p) prod(rho_f_j / (p q_j)) with that product taken in logs, so no
+    product of many p q_j underflows. Raises DomainError when p or some
+    q_j is 0, or when a ratio overflows a double.
     """
     if not q:
         raise DomainError("fan_out_ratio needs at least one finding")
@@ -226,11 +236,18 @@ def fan_out_ratio(p: float, q: list[float], rho_f: list[float]) -> tuple[float, 
     for name, values in (("p", (p,)), ("q", q), ("rho_f", rho_f)):
         for v in values:
             check_prob(name, v)
-    denominator = math.prod(p * qj for qj in q)
-    if denominator == 0.0:
+    if p == 0.0 or 0.0 in q:
         raise DomainError("collapsed-network likelihood is zero (p or some q is 0)")
-    exact = (p * math.prod(q) + (1.0 - p) * math.prod(rho_f)) / denominator
-    approx = 1.0 / p ** (len(q) - 1)
+    n = len(q)
+    try:
+        exact = approx = p ** (1 - n)
+        if p < 1.0 and 0.0 not in rho_f:
+            logs = sum(math.log(r) - math.log(qj) for r, qj in zip(rho_f, q))
+            exact += (1.0 - p) * math.exp(logs - n * math.log(p))
+    except OverflowError:
+        exact = math.inf
+    if exact == math.inf:
+        raise DomainError("fan-out ratio overflows a double")
     return exact, approx
 
 
@@ -254,6 +271,14 @@ def _fan_in_terms(cfg: StarConfig) -> tuple[float, float]:
     q = cfg.q[0]
     rho_f = cfg.rho_f[0]
     none_on = math.prod(1.0 - pk for pk in cfg.p)
-    layered = q * (1.0 - cfg.rho_i) * (1.0 - none_on) + rho_f * none_on
-    collapsed = (1.0 - math.prod(1.0 - pk * q for pk in cfg.p)) * (1.0 - rho_f)
+    layered = q * (1.0 - cfg.rho_i) * _one_minus_prod(cfg.p) + rho_f * none_on
+    collapsed = _one_minus_prod([pk * q for pk in cfg.p]) * (1.0 - rho_f)
     return layered, collapsed
+
+
+def _one_minus_prod(xs: Iterable[float]) -> float:
+    """1 - prod(1 - x) as -expm1(sum(log1p(-x))), which keeps the digits
+    that the plain form cancels away when every x is small. The leading
+    ``0.0 -`` keeps an all-zero result positive."""
+    logs = sum(math.log1p(-x) if x < 1.0 else -math.inf for x in xs)
+    return 0.0 - math.expm1(logs)

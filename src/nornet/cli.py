@@ -34,8 +34,7 @@ def main(argv=None) -> int:
     for stream in (sys.stdout, sys.stderr):
         if isinstance(stream, io.TextIOWrapper):
             stream.reconfigure(encoding="utf-8", errors=stream.errors)
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         return args.func(args)
     except NornetError as exc:
@@ -76,7 +75,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("infer", help="exact per-disease posteriors given evidence")
     p.add_argument("net_file")
-    p.add_argument("--evidence", type=_evidence, default={}, metavar="id=0|1,...")
+    p.add_argument("--evidence", type=_evidence, default="", metavar="id=0|1,...")
     p.add_argument("--conjunction", type=_id_list, default=None, metavar="id,id,...")
     p.set_defaults(func=_cmd_infer)
 
@@ -248,6 +247,11 @@ def _evidence(token: str) -> dict[str, bool]:
 
 def _id_list(token: str) -> list[str]:
     return [item for item in token.split(",") if item]
+
+
+# Built once per process. Parsing leaves it unchanged: every default is
+# immutable or, like --evidence's "", converted afresh by its type per call.
+_PARSER = _build_parser()
 
 
 if __name__ == "__main__":

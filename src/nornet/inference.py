@@ -78,10 +78,14 @@ def joint_prob(net: Network, full_assignment: Mapping) -> float:
     return prob
 
 
-def _normalize_assignment(net: Network, assignment: Mapping) -> dict[str, bool]:
+def _normalize_assignment(
+    net: Network, assignment: Mapping, findings_only: bool = False
+) -> dict[str, bool]:
     fixed = {}
     for nid, value in dict(assignment).items():
-        net.node(nid)
+        node = net.node(nid)
+        if findings_only and node.kind is not NodeKind.FINDING:
+            raise DomainError(f"evidence node {nid!r} is not a finding")
         fixed[nid] = bool(value)
     return fixed
 
@@ -236,18 +240,6 @@ def _ve_likelihood(net, kept_order, fixed, cache):
 # -- shared dispatch ------------------------------------------------------------
 
 
-def _enumerates(compiled, kept_order, unobserved):
-    """Whether ``auto`` enumerates: up to the measured crossover, and up to
-    the wide limit when elimination would refuse a kept node. The parent
-    count is read only past the crossover, where elimination would run."""
-    if unobserved <= DEFAULT_ENUMERATION_THRESHOLD:
-        return True
-    return unobserved <= _WIDE_ENUMERATION_LIMIT and any(
-        len(compiled.rows[compiled.index[nid]][2]) > DEFAULT_MAX_FACTOR_PARENTS
-        for nid in kept_order
-    )
-
-
 def _query(net, fixed, track, method, cache):
     """P(fixed assignment) and, per tracked node, P(node present AND fixed).
     No tracked node is fixed: posteriors fix findings and track diseases.
@@ -257,7 +249,14 @@ def _query(net, fixed, track, method, cache):
     kept = _prune_barren(net, set(fixed) | set(track))
     unobserved = len(kept) - len(fixed)
     if method == "auto":
-        method = "enumeration" if _enumerates(net.compiled, kept, unobserved) else "elimination"
+        # the parent counts matter only where elimination would run
+        rows, index = net.compiled.rows, net.compiled.index
+        limit = DEFAULT_ENUMERATION_THRESHOLD
+        if limit < unobserved <= _WIDE_ENUMERATION_LIMIT and any(
+            len(rows[index[nid]][2]) > DEFAULT_MAX_FACTOR_PARENTS for nid in kept
+        ):
+            limit = _WIDE_ENUMERATION_LIMIT
+        method = "enumeration" if unobserved <= limit else "elimination"
     if method == "enumeration":
         return _enum_query(net, kept, fixed, track)
     if method == "elimination":
@@ -276,9 +275,7 @@ def event_prob(net: Network, assignment: Mapping, *, method: str = "auto") -> fl
 
 def marginal(net: Network, node_id: str, *, method: str = "auto") -> float:
     """Exact P(node present) with no evidence."""
-    net.node(node_id)
-    total, masses = _query(net, {}, (node_id,), method, _Elimination())
-    return _clamp01(masses[node_id] / total)
+    return _clamp01(event_prob(net, {node_id: True}, method=method))
 
 
 def posterior(
@@ -299,10 +296,7 @@ def posterior(
 def _posterior(net, evidence, conjunction, method, cache):
     """:func:`posterior`, with elimination passes reusing ``cache``, an
     :class:`_Elimination` for ``net``."""
-    fixed = _normalize_assignment(net, evidence)
-    for nid in fixed:
-        if net.node(nid).kind is not NodeKind.FINDING:
-            raise DomainError(f"evidence node {nid!r} is not a finding")
+    fixed = _normalize_assignment(net, evidence, findings_only=True)
     diseases = tuple(n.id for n in net.nodes_of_kind(NodeKind.DISEASE))
     total, masses = _query(net, fixed, diseases, method, cache)
     if total <= 0.0:
@@ -315,8 +309,7 @@ def _posterior(net, evidence, conjunction, method, cache):
             net.node(nid)
             if nid in fixed and not fixed[nid]:
                 raise DomainError(f"conjunction node {nid!r} is observed absent")
-        conj_fixed = dict(fixed)
-        conj_fixed.update({nid: True for nid in conj})
+        conj_fixed = {**fixed, **dict.fromkeys(conj, True)}
         conj_total, _ = _query(net, conj_fixed, (), method, cache)
         conj_value = _clamp01(conj_total / total)
     return PosteriorResult(posteriors, total, conj_value)

@@ -10,6 +10,7 @@ standard library's ``statistics.NormalDist``.
 from __future__ import annotations
 
 import math
+import sys
 from statistics import NormalDist
 
 from .errors import DegenerateVarianceError, DomainError
@@ -46,9 +47,30 @@ def paired_t(a: list[float], b: list[float]) -> tuple[float, int]:
         raise DegenerateVarianceError(
             f"paired differences are constant ({diffs[0]}) with zero variance"
         )
+    t = _t_statistic(diffs)
+    if math.isnan(t):
+        # t does not depend on the scale of the differences, and a power of
+        # two rescales them exactly: bring the largest into [0.5, 1) and
+        # compute again.
+        _, exponent = math.frexp(max(abs(d) for d in diffs))
+        t = _t_statistic([math.ldexp(d, -exponent) for d in diffs])
+    return t, n - 1
+
+
+def _t_statistic(diffs: list[float]) -> float:
+    """The one-sample t of ``diffs``; nan when the sum of squared deviations
+    overflows or falls below the smallest normal double, where it has lost
+    its digits."""
+    n = len(diffs)
     mean = sum(diffs) / n
-    sd = math.sqrt(sum((d - mean) ** 2 for d in diffs) / (n - 1))
-    return mean / (sd / math.sqrt(n)), n - 1
+    try:
+        squares = sum((d - mean) ** 2 for d in diffs)
+    except OverflowError:
+        return math.nan
+    if not sys.float_info.min <= squares <= sys.float_info.max:
+        return math.nan
+    sd = math.sqrt(squares / (n - 1))
+    return mean / (sd / math.sqrt(n))
 
 
 def two_sided_p(t: float, df: int) -> float:

@@ -102,12 +102,49 @@ class TestRatioR1:
         with pytest.raises(DomainError):
             fan_in_ratio(StarConfig(p=(0.0,), q=(0.5,)))
 
+    @pytest.mark.parametrize(
+        "cfg,message",
+        [
+            (StarConfig(p=(0.0, 0.0), q=(0.5,)), "is zero for this star"),
+            (StarConfig(p=(0.5,), q=(0.0,)), "is zero for this star"),
+            (StarConfig(p=(0.5,), q=(0.5,), rho_f=(1.0,)), "is zero for this star"),
+            (StarConfig(p=(1e-300,), q=(1e-300,)), "underflows a double"),
+            # below the smallest normal double, though not 0
+            (StarConfig(p=(1e-300,), q=(1e-10,), rho_f=(0.5,)), "underflows a double"),
+            (StarConfig(p=(0.5,), q=(0.5, 0.5), rho_f=(0.0, 0.0)), "needs fan-out 1"),
+        ],
+    )
+    def test_errors_say_which(self, cfg, message):
+        with pytest.raises(DomainError, match=message):
+            fan_in_ratio(cfg)
+
+    @pytest.mark.parametrize(
+        "p,q",
+        [
+            ((1e-20,), 0.5),
+            ((1.0,), 1e-20),
+            ((1e-20, 3e-20), 0.5),
+            ((1.5e-16,), 0.5),
+            ((1e-12,), 0.5),
+        ],
+    )
+    def test_survives_one_minus_product_cancelling(self, p, q):
+        # 1 - (1 - x) loses most or all of x's digits in doubles for these
+        # x; the ratio is 1 leak-free
+        cfg = StarConfig(p=p, q=(q,))
+        assert fan_in_ratio(cfg) == pytest.approx(1.0, rel=1e-15)
+        three, two = closed_form_posteriors(cfg, 1.0, 1.0)
+        assert two == pytest.approx(sum(p) * q, rel=1e-15)
+        assert three == pytest.approx(two, rel=1e-15)
+
     def test_two_disease_form(self):
         assert fan_in_ratio_two_disease(0.5, 0.5, 0.5) == pytest.approx(
             0.857142857, abs=1e-9
         )
         assert fan_in_ratio_two_disease(0.3, 0.8, 1.0) == pytest.approx(1.0)
         assert fan_in_ratio_two_disease(0.6, 0.0, 0.4) == pytest.approx(1.0)
+        with pytest.raises(DomainError, match="zero denominator in two-disease ratio"):
+            fan_in_ratio_two_disease(0.5, 0.5, 0.5, rho_f=1.0)
 
     def test_two_disease_matches_exact_form_and_is_symmetric(self):
         rng = SplitMix64(43)
@@ -170,6 +207,29 @@ class TestRatioR2:
     def test_zero_denominator_rejected(self):
         with pytest.raises(DomainError):
             fan_out_ratio(0.0, [0.5], [0.0])
+
+    @pytest.mark.parametrize(
+        "p,q,rho_f,message",
+        [
+            (0.5, [0.5, 0.0], [0.0, 0.0], r"is zero \(p or some q is 0\)"),
+            (0.01, [0.5] * 200, [0.0] * 200, "ratio overflows a double"),
+            (0.5, [1e-300] * 3, [0.5] * 3, "ratio overflows a double"),
+            (0.5, [], [], "needs at least one finding"),
+            (0.5, [0.5, 0.5], [0.0], "one finding leak per finding eta"),
+        ],
+    )
+    def test_errors_say_which(self, p, q, rho_f, message):
+        with pytest.raises(DomainError, match=message):
+            fan_out_ratio(p, q, rho_f)
+
+    @pytest.mark.parametrize("n", [1060, 1100])
+    @pytest.mark.parametrize("leak", [0.0, 0.01])
+    def test_survives_the_product_underflowing(self, n, leak):
+        # prod(p q_j) = 0.495**n is subnormal at 1060 and 0 at 1100
+        exact, approx = fan_out_ratio(0.99, [0.5] * n, [leak] * n)
+        assert exact == pytest.approx(0.99 ** (1 - n), rel=1e-12)
+        assert approx == pytest.approx(0.99 ** (1 - n), rel=1e-12)
+        assert fan_out_ratio(1.0, [1e-200] * 3, [0.1] * 3) == (1.0, 1.0)
 
     def test_exact_at_least_one_when_leak_free(self):
         rng = SplitMix64(59)
@@ -250,11 +310,28 @@ class TestClosedFormPosteriors:
                 StarConfig(p=(0.5,), q=(0.5, 0.5), rho_f=(0.0, 0.0)), 1.0, 1.0
             )
 
+    def test_zero_prior_rejected(self):
+        with pytest.raises(DomainError, match=r"prior and normalizer must be in \(0, 1\]"):
+            closed_form_posteriors(StarConfig(p=(0.5,), q=(0.5,)), 0.0, 1.0)
+
 
 class TestStarConfig:
     def test_mixed_fan_rejected(self):
         with pytest.raises(DomainError):
             StarConfig(p=(0.5, 0.5), q=(0.5, 0.5), rho_f=(0.0, 0.0))
+
+    @pytest.mark.parametrize(
+        "kwargs,message",
+        [
+            ({"p": (), "q": (0.5,)}, "at least one disease and one finding"),
+            ({"p": (0.5,), "q": ()}, "at least one disease and one finding"),
+            ({"p": (0.5,), "q": (0.5, 0.5)}, "one finding leak per finding eta"),
+            ({"p": (0.5, 0.5), "q": (0.5,), "priors": (0.1,)}, "one prior per disease eta"),
+        ],
+    )
+    def test_count_mismatches_rejected(self, kwargs, message):
+        with pytest.raises(DomainError, match=message):
+            StarConfig(**kwargs)
 
     def test_network_round_trip(self):
         cfg = StarConfig(
@@ -290,3 +367,10 @@ class TestStarConfig:
             [Edge("d", "b", 0.5), Edge("b", "f", 0.5), Edge("d", "f", 0.5)],
         )
         assert star_config_from_network(bypass) is None
+        # a hub without parents has no fan-in to analyze
+        orphan_hub = Network(
+            "orphan-hub",
+            [disease("d", 0.1), ips("b"), finding("f", 0.0, 1)],
+            [Edge("b", "f", 0.5)],
+        )
+        assert star_config_from_network(orphan_hub) is None

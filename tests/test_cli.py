@@ -97,6 +97,22 @@ class TestGenCommand:
         ]) == 1
         assert capsys.readouterr().err.startswith("error:config:")
 
+    @pytest.mark.parametrize(
+        "flag,value,message",
+        [
+            ("--fan-in", "3", "expected a..b, got '3'"),
+            ("--eta", "0.5", "expected lo..hi, got '0.5'"),
+        ],
+    )
+    def test_range_without_dots_is_usage_error(self, tmp_path, capsys, flag, value, message):
+        with pytest.raises(SystemExit) as exc:
+            main([
+                "gen", "--diseases", "2", "--ips", "1", "--findings", "4", "--seed", "1",
+                flag, value, "-o", str(tmp_path / "x.net"),
+            ])
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+
 
 class TestReduceCommand:
     def test_zero_ips_reduction_is_byte_identical(self, net_file, tmp_path, capsys):
@@ -160,6 +176,8 @@ class TestInferCommand:
     def test_priors_without_evidence(self, net_file, capsys):
         assert main(["infer", net_file]) == 0
         assert capsys.readouterr().out == "d1 0.25\n"
+        assert main(["infer", net_file, "--evidence", ""]) == 0
+        assert capsys.readouterr().out == "d1 0.25\n"
 
     def test_posterior_with_evidence_and_conjunction(self, net_file, capsys):
         assert main([
@@ -194,6 +212,12 @@ class TestInferCommand:
         # a repeat with the same value is not a conflict
         assert main(["infer", net_file, "--evidence", "f1=1,f1=1"]) == 0
         assert capsys.readouterr().out.splitlines()[0] == "d1 0.6"
+
+    def test_evidence_without_a_value_is_usage_error(self, net_file, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["infer", net_file, "--evidence", "f1"])
+        assert exc.value.code == 2
+        assert "expected id=0|1, got 'f1'" in capsys.readouterr().err
 
 
 class TestSampleCommand:

@@ -97,6 +97,11 @@ class TestGenerateCases:
         with pytest.raises(ExhaustionError):
             generate_cases(net, 3, seed=0, require_positive=True)
 
+    def test_require_positive_gives_up_after_the_retry_limit(self):
+        net = chain_net(prior=1e-300)
+        with pytest.raises(ExhaustionError, match="after 10000 retries"):
+            generate_cases(net, 1, seed=0, require_positive=True)
+
     def test_rejection_does_not_disturb_accepted_cases(self):
         # cases already positive must be identical with and without the flag
         net = chain_net(prior=0.6)

@@ -146,6 +146,8 @@ class TestConfigErrors:
     def test_infeasible_fan_in_rejected(self):
         with pytest.raises(ConfigError):
             GeneratorConfig(2, 1, 5, fan_in_range=(5, 6))
+        with pytest.raises(ConfigError, match="exceeds the disease pool"):
+            GeneratorConfig(2, 0, 5, fan_in_range=(3, 4))
 
     def test_bad_ranges_rejected(self):
         with pytest.raises(ConfigError):
@@ -156,3 +158,5 @@ class TestConfigErrors:
             GeneratorConfig(2, 2, 5, leak_range=(0.2, 1.0))
         with pytest.raises(ConfigError):
             GeneratorConfig(2, 2, 5, prior_range=(0.5, 0.2))
+        with pytest.raises(ConfigError, match=r"ips_chain_prob 1.5 outside \[0, 1\]"):
+            GeneratorConfig(2, 2, 5, ips_chain_prob=1.5)

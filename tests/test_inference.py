@@ -194,6 +194,14 @@ class TestMarginal:
         for nid in net.node_ids:
             assert marginal(net, nid) == pytest.approx(exact[nid], abs=1e-12)
 
+    @pytest.mark.parametrize("method", ["auto", "enumeration", "elimination"])
+    @pytest.mark.parametrize("fan", [(1, 2), (3, 4)])
+    def test_is_one_event_prob_pass(self, fan, method):
+        net = criterion_8_net(fan)
+        for nid in net.node_ids:
+            expected = inference._clamp01(event_prob(net, {nid: True}, method=method))
+            assert marginal(net, nid, method=method) == expected
+
 
 class TestEngineAgreement:
     def _random_net(self, seed):

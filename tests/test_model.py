@@ -120,6 +120,8 @@ class TestValidate:
     def test_unknown_endpoint_unrepresentable(self):
         with pytest.raises(DomainError):
             Network("miss", [disease("d", 0.1)], [Edge("d", "ghost", 0.5)])
+        with pytest.raises(DomainError, match="edge source 'ghost' is not a node"):
+            Network("miss", [disease("d", 0.1)], [Edge("ghost", "d", 0.5)])
 
     def test_require_valid_raises_with_violations(self):
         net = Network(

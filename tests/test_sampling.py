@@ -37,6 +37,21 @@ class TestSplitMix64:
         with pytest.raises(ValueError):
             rng.randint(5, 2)
 
+    def test_randint_redraws_past_the_last_whole_width(self):
+        # the width 2**63 + 1 fits in 2**64 once, so a draw above 2**63 is
+        # redrawn: about half of them
+        redrawn = 0
+        for seed in range(400):
+            rng, raw = SplitMix64(seed), SplitMix64(seed)
+            value = rng.randint(0, 2**63)
+            draws = [raw.next_u64()]
+            while draws[-1] > 2**63:
+                draws.append(raw.next_u64())
+            assert value == draws[-1]
+            assert rng.next_u64() == raw.next_u64()
+            redrawn += len(draws) > 1
+        assert 160 < redrawn < 240
+
 
 class TestSampleWorld:
     def test_all_zero_probabilities_gives_all_absent(self):

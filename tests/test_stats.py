@@ -78,6 +78,14 @@ class TestPairedT:
         with pytest.raises(DomainError):
             paired_t([1.0, 2.0], [0.0])
 
+    @pytest.mark.parametrize("scale", [1e-170, 1e-160, 1e154, 1e200, 5e307])
+    def test_scale_free_at_extreme_magnitudes(self, scale):
+        # the squares of these differences underflow (to 0 or to a
+        # subnormal that keeps few digits) or overflow
+        t, df = paired_t([scale, 2 * scale, 3 * scale], [0.0] * 3)
+        assert t == pytest.approx(12**0.5, rel=1e-15)
+        assert df == 2
+
     def test_sign_convention(self):
         t, _ = paired_t([2.0, 3.0, 4.0], [1.0, 1.5, 2.5])
         assert t > 0
@@ -129,3 +137,9 @@ class TestStudentT:
 
     def test_zero_t_never_significant(self):
         assert two_sided_p(0.0, 7) == 1.0
+
+    def test_extreme_t_and_bad_df(self):
+        assert two_sided_p(1e200, 5) == 0.0
+        assert two_sided_p(1e-200, 5) == 1.0
+        with pytest.raises(DomainError, match="degrees of freedom 0 < 1"):
+            two_sided_p(2.0, 0)
