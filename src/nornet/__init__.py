@@ -14,7 +14,6 @@ from .analysis import (
     ips_path_stats,
     predict_bias,
     fan_in_ratio,
-    fan_in_ratio_two_disease,
     fan_out_ratio,
     star_config_from_network,
     star_network,
@@ -131,7 +130,6 @@ __all__ = [
     "predict_bias",
     "provenance_csv",
     "fan_in_ratio",
-    "fan_in_ratio_two_disease",
     "fan_out_ratio",
     "report_csv",
     "run_experiment",

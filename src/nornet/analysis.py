@@ -7,6 +7,11 @@ fan-in 1 (the underestimate ratio, approximately 1/p**(n-1) when leaks
 are small). These ratios, fan statistics, and the qualitative bias labels
 derived from them live here; ground truth for all of them is the
 inference module run on the concrete star networks.
+
+The closed forms equal the star networks' likelihood ratio only when
+every leak is 0. With leaks they can fall on the other side of 1: for
+p = (0.5, 0.5), q = 0.5, rho_f = 0.1, ``fan_in_ratio`` is 1.01587 and the
+networks' ratio 0.88608. ``fan_out_ratio`` has no rho_i term.
 """
 
 from __future__ import annotations
@@ -190,6 +195,8 @@ def fan_in_ratio(cfg: StarConfig) -> float:
         ---------------------------------------------------------
                  [1 - prod(1 - p_k q)] (1 - rho_f)
 
+    This is exact only when every leak is 0 (see the module docstring).
+
     Raises DomainError when the denominator is zero (q or every p_k is 0,
     or rho_f is 1) or below the smallest normal double, where it has lost
     its digits. The numerator is at most 1, so the ratio cannot overflow.
@@ -204,38 +211,22 @@ def fan_in_ratio(cfg: StarConfig) -> float:
     return numerator / denominator
 
 
-def fan_in_ratio_two_disease(
-    p1: float, p2: float, q: float, rho_i: float = 0.0, rho_f: float = 0.0
-) -> float:
-    """Two-disease special case of the fan-out-1 ratio:
-    (1 - rho_i)(p1 + p2 - p1 p2) / [(1 - rho_f)(p1 + p2 - q p1 p2)]."""
-    for name, v in (("p1", p1), ("p2", p2), ("q", q), ("rho_i", rho_i), ("rho_f", rho_f)):
-        check_prob(name, v)
-    denominator = (1.0 - rho_f) * (p1 + p2 - q * p1 * p2)
-    if denominator == 0.0:
-        raise DomainError("zero denominator in two-disease ratio")
-    return (1.0 - rho_i) * (p1 + p2 - p1 * p2) / denominator
-
-
-def fan_out_ratio(p: float, q: list[float], rho_f: list[float]) -> tuple[float, float]:
+def fan_out_ratio(cfg: StarConfig) -> tuple[float, float]:
     """Fan-in-1 ratio for n findings, all present, as (exact, approximate):
 
         exact  = [p prod(q_j) + (1 - p) prod(rho_f_j)] / prod(p q_j)
         approx = 1 / p**(n-1)
 
     The approximation assumes leaks are small against activation
-    probabilities. ``exact`` is divided through term by term, as approx +
-    (1 - p) prod(rho_f_j / (p q_j)) with that product taken in logs, so no
-    product of many p q_j underflows. Raises DomainError when p or some
-    q_j is 0, or when a ratio overflows a double.
+    probabilities. ``exact`` is exact only when every leak is 0: it has no
+    rho_i term (see the module docstring). It is divided through term by
+    term, as approx + (1 - p) prod(rho_f_j / (p q_j)) with that product
+    taken in logs, so no product of many p q_j underflows. Raises
+    DomainError when p or some q_j is 0, or when a ratio overflows a double.
     """
-    if not q:
-        raise DomainError("fan_out_ratio needs at least one finding")
-    if len(rho_f) != len(q):
-        raise DomainError("need one finding leak per finding eta")
-    for name, values in (("p", (p,)), ("q", q), ("rho_f", rho_f)):
-        for v in values:
-            check_prob(name, v)
+    if cfg.fan_in != 1:
+        raise DomainError("fan_out_ratio needs fan-in 1")
+    p, q, rho_f = cfg.p[0], cfg.q, cfg.rho_f
     if p == 0.0 or 0.0 in q:
         raise DomainError("collapsed-network likelihood is zero (p or some q is 0)")
     n = len(q)

@@ -178,13 +178,8 @@ def _cmd_analyze(args) -> int:
         print(f"star fan_in={cfg.fan_in} fan_out={cfg.fan_out}")
         if cfg.fan_out == 1:
             print(f"fan_in_ratio={'%.9g' % analysis.fan_in_ratio(cfg)}")
-            if cfg.fan_in == 2:
-                two = analysis.fan_in_ratio_two_disease(
-                    cfg.p[0], cfg.p[1], cfg.q[0], cfg.rho_i, cfg.rho_f[0]
-                )
-                print(f"fan_in_ratio_two_disease={'%.9g' % two}")
         else:
-            exact, approx = analysis.fan_out_ratio(cfg.p[0], list(cfg.q), list(cfg.rho_f))
+            exact, approx = analysis.fan_out_ratio(cfg)
             print(f"fan_out_ratio_exact={'%.9g' % exact} fan_out_ratio_approx={'%.9g' % approx}")
     return 0
 

@@ -96,7 +96,7 @@ def _prune_barren(net: Network, needed: set[str]) -> tuple[str, ...]:
     order = net.topological_order()
     kept: set[str] = set()
     for nid in reversed(order):
-        if nid in needed or any(c in kept for c in net.children_of(nid)):
+        if nid in needed or not kept.isdisjoint(net.children_of(nid)):
             kept.add(nid)
     return tuple(nid for nid in order if nid in kept)
 

@@ -125,11 +125,8 @@ class Network:
         for (src, dst), edge in edge_map.items():
             parents[dst].append((src, edge.eta))
             children[src].append(dst)
-        for nid in node_map:
-            parents[nid].sort()
-            children[nid].sort()
-        self._parents = parents
-        self._children = children
+        self._parents = {nid: tuple(sorted(ps)) for nid, ps in parents.items()}
+        self._children = {nid: tuple(sorted(cs)) for nid, cs in children.items()}
 
     # -- structure accessors -------------------------------------------------
     # Sorted on first access and kept, since the network never changes.
@@ -157,10 +154,10 @@ class Network:
 
     def parents_of(self, node_id: str) -> tuple[tuple[str, float], ...]:
         """(parent id, eta) pairs in ascending parent-id order."""
-        return tuple(self._parents[node_id])
+        return self._parents[node_id]
 
     def children_of(self, node_id: str) -> tuple[str, ...]:
-        return tuple(self._children[node_id])
+        return self._children[node_id]
 
     def nodes_of_kind(self, kind: NodeKind) -> tuple[Node, ...]:
         return tuple(n for n in self.nodes if n.kind is kind)

@@ -11,7 +11,6 @@ from nornet import (
     level_reduce,
     predict_bias,
     fan_in_ratio,
-    fan_in_ratio_two_disease,
     fan_out_ratio,
     star_config_from_network,
     star_network,
@@ -137,26 +136,14 @@ class TestRatioR1:
         assert two == pytest.approx(sum(p) * q, rel=1e-15)
         assert three == pytest.approx(two, rel=1e-15)
 
-    def test_two_disease_form(self):
-        assert fan_in_ratio_two_disease(0.5, 0.5, 0.5) == pytest.approx(
-            0.857142857, abs=1e-9
-        )
-        assert fan_in_ratio_two_disease(0.3, 0.8, 1.0) == pytest.approx(1.0)
-        assert fan_in_ratio_two_disease(0.6, 0.0, 0.4) == pytest.approx(1.0)
-        with pytest.raises(DomainError, match="zero denominator in two-disease ratio"):
-            fan_in_ratio_two_disease(0.5, 0.5, 0.5, rho_f=1.0)
-
-    def test_two_disease_matches_exact_form_and_is_symmetric(self):
+    def test_symmetric_in_disease_order(self):
         rng = SplitMix64(43)
         for _ in range(50):
             p1, p2, q = (rng.uniform(0.05, 0.95) for _ in range(3))
-            via_exact = fan_in_ratio(StarConfig(p=(p1, p2), q=(q,)))
-            assert fan_in_ratio_two_disease(p1, p2, q) == pytest.approx(
-                via_exact, rel=1e-12
-            )
-            assert fan_in_ratio_two_disease(p1, p2, q) == pytest.approx(
-                fan_in_ratio_two_disease(p2, p1, q), rel=1e-14
-            )
+            rho_f = rng.uniform(0.0, 0.3)
+            forward = fan_in_ratio(StarConfig(p=(p1, p2), q=(q,), rho_f=(rho_f,)))
+            backward = fan_in_ratio(StarConfig(p=(p2, p1), q=(q,), rho_f=(rho_f,)))
+            assert forward == pytest.approx(backward, rel=1e-14)
 
     def test_leak_free_ratio_never_exceeds_one(self):
         rng = SplitMix64(47)
@@ -190,23 +177,31 @@ class TestRatioR1:
 
 class TestRatioR2:
     def test_single_finding_chain_is_exact(self):
-        exact, approx = fan_out_ratio(0.7, [0.4], [0.0])
+        exact, approx = fan_out_ratio(StarConfig(p=(0.7,), q=(0.4,), rho_f=(0.0,)))
         assert exact == pytest.approx(1.0)
         assert approx == pytest.approx(1.0)
 
     def test_spot_value_transparent_edges(self):
-        exact, approx = fan_out_ratio(0.5, [1.0, 1.0, 1.0], [0.0, 0.0, 0.0])
+        exact, approx = fan_out_ratio(
+            StarConfig(p=(0.5,), q=(1.0, 1.0, 1.0), rho_f=(0.0, 0.0, 0.0))
+        )
         assert exact == pytest.approx(4.0)
         assert approx == pytest.approx(4.0)
 
     def test_spot_value_small_leaks(self):
-        exact, approx = fan_out_ratio(0.5, [0.8, 0.9], [0.01, 0.01])
+        exact, approx = fan_out_ratio(
+            StarConfig(p=(0.5,), q=(0.8, 0.9), rho_f=(0.01, 0.01))
+        )
         assert exact == pytest.approx(2.000277778, abs=1e-6)
         assert approx == pytest.approx(2.0)
 
     def test_zero_denominator_rejected(self):
         with pytest.raises(DomainError):
-            fan_out_ratio(0.0, [0.5], [0.0])
+            fan_out_ratio(StarConfig(p=(0.0,), q=(0.5,), rho_f=(0.0,)))
+
+    def test_fan_in_required(self):
+        with pytest.raises(DomainError, match="fan_out_ratio needs fan-in 1"):
+            fan_out_ratio(StarConfig(p=(0.5, 0.5), q=(0.5,)))
 
     @pytest.mark.parametrize(
         "p,q,rho_f,message",
@@ -214,22 +209,24 @@ class TestRatioR2:
             (0.5, [0.5, 0.0], [0.0, 0.0], r"is zero \(p or some q is 0\)"),
             (0.01, [0.5] * 200, [0.0] * 200, "ratio overflows a double"),
             (0.5, [1e-300] * 3, [0.5] * 3, "ratio overflows a double"),
-            (0.5, [], [], "needs at least one finding"),
+            (0.5, [], [], "star needs at least one disease and one finding"),
             (0.5, [0.5, 0.5], [0.0], "one finding leak per finding eta"),
         ],
     )
     def test_errors_say_which(self, p, q, rho_f, message):
         with pytest.raises(DomainError, match=message):
-            fan_out_ratio(p, q, rho_f)
+            fan_out_ratio(StarConfig(p=(p,), q=tuple(q), rho_f=tuple(rho_f)))
 
     @pytest.mark.parametrize("n", [1060, 1100])
     @pytest.mark.parametrize("leak", [0.0, 0.01])
     def test_survives_the_product_underflowing(self, n, leak):
         # prod(p q_j) = 0.495**n is subnormal at 1060 and 0 at 1100
-        exact, approx = fan_out_ratio(0.99, [0.5] * n, [leak] * n)
+        exact, approx = fan_out_ratio(
+            StarConfig(p=(0.99,), q=(0.5,) * n, rho_f=(leak,) * n)
+        )
         assert exact == pytest.approx(0.99 ** (1 - n), rel=1e-12)
         assert approx == pytest.approx(0.99 ** (1 - n), rel=1e-12)
-        assert fan_out_ratio(1.0, [1e-200] * 3, [0.1] * 3) == (1.0, 1.0)
+        assert fan_out_ratio(StarConfig(p=(1.0,), q=(1e-200,) * 3, rho_f=(0.1,) * 3)) == (1.0, 1.0)
 
     def test_exact_at_least_one_when_leak_free(self):
         rng = SplitMix64(59)
@@ -237,7 +234,7 @@ class TestRatioR2:
             n = rng.randint(1, 4)
             p = rng.uniform(0.05, 1.0)
             q = [rng.uniform(0.05, 1.0) for _ in range(n)]
-            exact, _ = fan_out_ratio(p, q, [0.0] * n)
+            exact, _ = fan_out_ratio(StarConfig(p=(p,), q=tuple(q), rho_f=(0.0,) * n))
             assert exact >= 1.0 - 1e-12
 
     def test_leak_free_exact_equals_approx_for_any_q(self):
@@ -247,16 +244,20 @@ class TestRatioR2:
             n = rng.randint(1, 4)
             p = rng.uniform(0.1, 0.9)
             q = [rng.uniform(0.1, 1.0) for _ in range(n)]
-            exact, approx = fan_out_ratio(p, q, [0.0] * n)
+            exact, approx = fan_out_ratio(StarConfig(p=(p,), q=tuple(q), rho_f=(0.0,) * n))
             assert exact == pytest.approx(approx, rel=1e-12)
 
     def test_approx_error_shrinks_as_leaks_shrink(self):
         p = 0.4
-        gap_big_leak = abs(fan_out_ratio(p, [0.6, 0.6], [0.05, 0.05])[0] - 1 / p)
-        gap_small_leak = abs(fan_out_ratio(p, [0.6, 0.6], [1e-4, 1e-4])[0] - 1 / p)
+
+        def gap(q, rho_f):
+            return abs(fan_out_ratio(StarConfig(p=(p,), q=q, rho_f=rho_f))[0] - 1 / p)
+
+        gap_big_leak = gap((0.6, 0.6), (0.05, 0.05))
+        gap_small_leak = gap((0.6, 0.6), (1e-4, 1e-4))
         assert gap_small_leak < gap_big_leak
         # and a higher q damps the leak-driven error too
-        gap_high_q = abs(fan_out_ratio(p, [0.99, 0.99], [0.05, 0.05])[0] - 1 / p)
+        gap_high_q = gap((0.99, 0.99), (0.05, 0.05))
         assert gap_high_q < gap_big_leak
 
     def test_agrees_with_inference_likelihood_ratio(self):
@@ -274,7 +275,7 @@ class TestRatioR2:
             event = {f"f{j + 1:02d}": True for j in range(n)}
             lik3 = event_prob(three, {**cond, **event}) / event_prob(three, cond)
             lik2 = event_prob(two, {**cond, **event}) / event_prob(two, cond)
-            exact, _ = fan_out_ratio(cfg.p[0], list(cfg.q), list(cfg.rho_f))
+            exact, _ = fan_out_ratio(cfg)
             assert exact == pytest.approx(lik3 / lik2, rel=1e-10)
 
 

@@ -257,7 +257,6 @@ class TestAnalyzeCommand:
         out = capsys.readouterr().out
         assert "star fan_in=2 fan_out=1" in out
         assert "fan_in_ratio=0.857142857" in out
-        assert "fan_in_ratio_two_disease=0.857142857" in out
 
     def test_star_r2_prediction(self, tmp_path, capsys):
         path = tmp_path / "star.net"
