@@ -170,8 +170,11 @@ def run_experiment(
 
     tasks = [[case.cumulative_evidence(phase) for phase in PHASES] for case in cases]
     # One elimination cache per network for this call: every case fixes the
-    # same finding ids at a phase, so plans and node tables repeat. In a
-    # pool, each chunk unpickles its own empty copy.
+    # same finding ids at a phase, so pruning, plans and node tables repeat,
+    # and cases whose evidence agrees up to a phase ask the same query,
+    # which the cache answers once. Its answers grow with the distinct
+    # queries, and it dies with this call. In a pool, each chunk unpickles
+    # its own empty copy.
     evaluate = partial(
         _eval_case,
         full=full,

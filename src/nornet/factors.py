@@ -5,7 +5,8 @@ The sum-product step multiplies the factors that mention a variable and
 sums it out in one pass. It comes in two halves, so that an elimination
 plan can build the symbolic one once and run the numeric one per query:
 :func:`sum_product_maps` depends on scopes only, :func:`sum_product_values`
-on the tables.
+on the tables. :func:`gathers` turns the index maps into the
+``operator.itemgetter`` pairs that the numeric half reads tables with.
 
 A factor is a scope, a sorted tuple of node ids, and a table, a flat list
 of 2**k floats; bit i of a table index is the state of scope variable i.
@@ -15,6 +16,8 @@ break on ascending id.
 
 from __future__ import annotations
 
+from operator import add, itemgetter, mul
+
 
 def sum_product_maps(scopes, var):
     """The symbolic half of the sum-product step over factors with
@@ -22,34 +25,60 @@ def sum_product_maps(scopes, var):
     factor the table index of every output cell with ``var`` absent and
     with it present. The index lists grow by doubling, one output variable
     at a time: the upper half of each copy sets that variable's bit in the
-    factor (or nothing, outside its scope). Factors with equal scopes share
-    one pair of lists."""
+    factor, or repeats the lower half outside its scope. Factors with equal
+    scopes share one pair of lists."""
     scope = tuple(sorted({v for s in scopes for v in s} - {var}))
     maps = {}
     for s in scopes:
         if s not in maps:
-            absent = [0]
+            absent, present = [0], [1 << s.index(var)]
             for v in scope:
-                bit = 1 << s.index(v) if v in s else 0
-                absent += [i | bit for i in absent]
-            var_bit = 1 << s.index(var)
-            maps[s] = (absent, [i | var_bit for i in absent])
+                if v in s:
+                    bit = 1 << s.index(v)
+                    absent += [i | bit for i in absent]
+                    present += [i | bit for i in present]
+                else:
+                    absent *= 2
+                    present *= 2
+            maps[s] = (absent, present)
     return scope, [maps[s] for s in scopes]
 
 
-def sum_product_values(maps, tables):
-    """The numeric half of the sum-product step: per output cell of
-    ``maps``, the products of the tables' entries in list order with the
-    eliminated variable absent and present, then their sum. Starting each
-    product from the first table's entry instead of 1.0 changes no bit."""
-    pairs = iter(zip(maps, tables))
+def getter(indices):
+    """``operator.itemgetter`` over ``indices`` that returns a sequence even
+    for a single index, which it reads as a one-entry slice."""
+    if len(indices) == 1:
+        return itemgetter(slice(indices[0], indices[0] + 1))
+    return itemgetter(*indices)
+
+
+def gathers(maps):
+    """Per factor of ``maps`` (from :func:`sum_product_maps`), the pair of
+    getters that read its table with the eliminated variable absent and
+    present. Factors that share one pair of lists share one pair of
+    getters."""
+    made = {}
+    for pair in maps:
+        if id(pair) not in made:
+            made[id(pair)] = (getter(pair[0]), getter(pair[1]))
+    return [made[id(pair)] for pair in maps]
+
+
+def sum_product_values(getters, tables):
+    """The numeric half of the sum-product step: per output cell, the
+    products of the tables' entries in list order with the eliminated
+    variable absent and present, then their sum, read through the getter
+    pairs of :func:`gathers`. Starting each product from the first table's
+    entry instead of 1.0 changes no bit, and neither does ``map(mul, ...)``:
+    it forms the same products in the same order."""
+    pairs = iter(zip(getters, tables))
     (absent, present), values = next(pairs)
-    p0 = [values[i] for i in absent]
-    p1 = [values[i] for i in present]
+    p0 = absent(values)
+    p1 = present(values)
     for (absent, present), values in pairs:
-        p0 = [p * values[i] for p, i in zip(p0, absent)]
-        p1 = [p * values[i] for p, i in zip(p1, present)]
-    return [a + b for a, b in zip(p0, p1)]
+        p0 = list(map(mul, p0, absent(values)))
+        p1 = list(map(mul, p1, present(values)))
+    return list(map(add, p0, p1))
 
 
 def min_degree_order(variables, scopes) -> list[str]:

@@ -23,22 +23,28 @@ only for nodes with at most ``DEFAULT_MAX_FACTOR_PARENTS`` parents, so when
 a kept node has more, ``auto`` enumerates up to 20 unobserved nodes and
 above that eliminates, which raises the cap's :class:`DomainError`.
 
-An elimination pass is a symbolic plan, keyed by the kept nodes and the
-fixed ids (factor scopes, min-degree order, index maps), run numerically
-over node tables keyed by the node and its fixed family values. Both live
-in an :class:`_Elimination` cache that one call owns: a standalone
-posterior shares it across its 1 + |diseases| passes, and
-``run_experiment`` shares one per network across its cases. Nothing
-outlives the call that made it.
+An elimination pass is a symbolic plan run numerically. The plan is
+keyed by the kept nodes and the fixed ids. It holds the factor scopes, the
+min-degree order, the tables of nodes with no fixed family member, and
+per step its slots and gathers. The pass looks up the other node tables
+by the node and its fixed family values. All of this lives in an
+:class:`_Elimination` cache that one call owns. The cache also prunes
+once per needed id set, shares each step's gathers among the plans that
+repeat the step, and stores every elimination answer, so a repeated
+query runs no pass; that store grows with the distinct queries of the
+call. A standalone posterior shares one cache across its 1 + |diseases|
+passes, and ``run_experiment`` shares one per network across its cases.
+Nothing outlives the call that made it.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .errors import DomainError, EvidenceError, IncompleteAssignmentError
-from .factors import min_degree_order, sum_product_maps, sum_product_values
+from .factors import gathers, getter, min_degree_order, sum_product_maps, sum_product_values
 from .model import Network, NodeKind, row_prob
 
 DEFAULT_ENUMERATION_THRESHOLD = 9
@@ -150,17 +156,32 @@ class _Elimination:
     """Reusable elimination work for one network, held by whoever makes it
     and dropped with it; nothing is stored on the network or the module.
 
+    ``pruned`` maps a needed id set to its kept order and to the answers
+    given for it so far. An answer's key is the fixed values over the kept
+    order, ``None`` where a node is not fixed, so it copies neither the
+    evidence nor the id set. ``families`` maps a node to its family
+    (itself, then its parents) and that family sorted.
+
     ``plans`` maps (kept order, fixed-id set) to the symbolic part of a
-    pass: per kept node its fixed family ids and table scope, and per
-    elimination step the factor slots it sums and their index maps.
-    ``tables`` maps (node, fixed family ids, their values) to that node's
-    table: under noisy-OR it depends on nothing else, so every query that
-    fixes the same family members to the same values shares it. The ids
-    belong in the key: a finding with parents ``d1`` and ``d2`` fixes
-    (``d1``, itself) in one disease pass and (``d2``, itself) in another."""
+    pass: the tables of kept nodes with no fixed family member, the fixed
+    family ids and scope of every other kept node, and per elimination
+    step the factor slots it sums and their gathers. ``steps`` maps a
+    step's (input scopes, variable) to its output scope and gathers: the
+    1 + |diseases| plans of one evidence id set often repeat a step.
+
+    ``tables`` maps (node, fixed family ids) to that node's tables, keyed
+    by the fixed values as ``operator.itemgetter(*ids)`` reads them (a bare
+    value for one id, ``()`` for none). Under noisy-OR a table depends on
+    nothing else, so every query that fixes the same family members to the
+    same values shares it. The ids belong in the key: a finding with
+    parents ``d1`` and ``d2`` fixes (``d1``, itself) in one disease pass and
+    (``d2``, itself) in another."""
 
     def __init__(self):
+        self.pruned = {}
+        self.families = {}
         self.plans = {}
+        self.steps = {}
         self.tables = {}
 
 
@@ -183,35 +204,68 @@ def _node_factor(compiled, nid, scope, held):
     return values
 
 
-def _plan(compiled, kept_order, fixed):
-    """The symbolic part of one elimination pass: ``(nodes, steps, final)``.
-    Factor slots number the node tables in kept order, then each step's
-    output. A step sums the slots that mention its variable, in factor-list
-    order, and its output joins the end of the list; ``final`` holds the
-    slots left, whose single entries multiply to the likelihood."""
-    nodes, scopes = [], []
-    for nid in kept_order:
-        parents = compiled.rows[compiled.index[nid]][2]
-        if len(parents) > DEFAULT_MAX_FACTOR_PARENTS:
-            raise DomainError(
-                f"node {nid!r} has {len(parents)} parents; elimination materializes "
-                f"full tables only up to {DEFAULT_MAX_FACTOR_PARENTS} parents"
-            )
-        family = [nid] + [compiled.order[j] for j, _ in parents]
-        scope = tuple(sorted(v for v in family if v not in fixed))
-        nodes.append((nid, tuple(v for v in family if v in fixed), scope))
+def _family(compiled, nid):
+    """``nid``'s family, itself then its parents, and that family sorted."""
+    parents = compiled.rows[compiled.index[nid]][2]
+    if len(parents) > DEFAULT_MAX_FACTOR_PARENTS:
+        raise DomainError(
+            f"node {nid!r} has {len(parents)} parents; elimination materializes "
+            f"full tables only up to {DEFAULT_MAX_FACTOR_PARENTS} parents"
+        )
+    family = (nid, *[compiled.order[j] for j, _ in parents])
+    return family, tuple(sorted(family))
+
+
+def _plan(compiled, kept_order, fixed, cache):
+    """The symbolic part of one elimination pass: ``(tables, nodes, steps,
+    final)``. Factor slots number the node tables in kept order, then each
+    step's output. ``tables`` holds the node tables that depend on no fixed
+    value, and ``None`` in the slot of each node of ``nodes``, whose table
+    the pass looks up by the values that node's getter reads from the
+    evidence. A step sums the slots that mention its variable, in
+    factor-list order, and its output joins the end of the list; ``final``
+    holds the slots left, whose single entries multiply to the
+    likelihood."""
+    tables, nodes, scopes = [], [], []
+    for slot, nid in enumerate(kept_order):
+        family = cache.families.get(nid)
+        if family is None:
+            family = cache.families[nid] = _family(compiled, nid)
+        ids = tuple([v for v in family[0] if v in fixed])
+        scope = tuple([v for v in family[1] if v not in fixed])
+        known = cache.tables.setdefault((nid, ids), {})
+        table = None
+        if ids:
+            nodes.append((slot, itemgetter(*ids), known, nid, ids, scope))
+        else:
+            table = known.get(())
+            if table is None:
+                table = known[()] = _node_factor(compiled, nid, scope, ())
+        tables.append(table)
         scopes.append(scope)
-    hidden = sorted(nid for nid in kept_order if nid not in fixed)
-    live = list(range(len(scopes)))
+    hidden = sorted([nid for nid in kept_order if nid not in fixed])
+    # the slots that mention each hidden node, ascending; a step sums those
+    # that no earlier step summed
+    mentions = {v: [] for v in hidden}
+    for k, scope in enumerate(scopes):
+        for v in scope:
+            mentions[v].append(k)
+    summed = set()
     steps = []
     for var in min_degree_order(hidden, scopes):
-        related = [k for k in live if var in scopes[k]]
-        live = [k for k in live if var not in scopes[k]]
-        scope, maps = sum_product_maps([scopes[k] for k in related], var)
-        live.append(len(scopes))
-        scopes.append(scope)
-        steps.append((related, maps))
-    return nodes, steps, live
+        related = [k for k in mentions.pop(var) if k not in summed]
+        summed.update(related)
+        inputs = tuple([scopes[k] for k in related])
+        step = cache.steps.get((inputs, var))
+        if step is None:
+            scope, maps = sum_product_maps(inputs, var)
+            step = cache.steps[inputs, var] = scope, gathers(maps)
+        for v in step[0]:
+            mentions[v].append(len(scopes))
+        scopes.append(step[0])
+        steps.append((getter(related), step[1]))
+    final = [k for k in range(len(scopes)) if k not in summed]
+    return tables, nodes, steps, final
 
 
 def _ve_likelihood(net, kept_order, fixed, cache):
@@ -219,18 +273,18 @@ def _ve_likelihood(net, kept_order, fixed, cache):
     key = (kept_order, frozenset(fixed))
     plan = cache.plans.get(key)
     if plan is None:
-        plan = cache.plans[key] = _plan(compiled, kept_order, fixed)
-    nodes, steps, final = plan
-    tables = []
-    for nid, ids, scope in nodes:
-        held = tuple([fixed[v] for v in ids])
-        table = cache.tables.get((nid, ids, held))
+        plan = cache.plans[key] = _plan(compiled, kept_order, fixed, cache)
+    tables, nodes, steps, final = plan
+    tables = tables.copy()
+    for slot, read, known, nid, ids, scope in nodes:
+        values = read(fixed)
+        table = known.get(values)
         if table is None:
-            table = _node_factor(compiled, nid, scope, zip(ids, held))
-            cache.tables[nid, ids, held] = table
-        tables.append(table)
-    for related, maps in steps:
-        tables.append(sum_product_values(maps, [tables[k] for k in related]))
+            held = [(v, fixed[v]) for v in ids]
+            table = known[values] = _node_factor(compiled, nid, scope, held)
+        tables[slot] = table
+    for related, getters in steps:
+        tables.append(sum_product_values(getters, related(tables)))
     result = 1.0
     for k in final:
         result *= tables[k][0]
@@ -243,10 +297,15 @@ def _ve_likelihood(net, kept_order, fixed, cache):
 def _query(net, fixed, track, method, cache):
     """P(fixed assignment) and, per tracked node, P(node present AND fixed).
     No tracked node is fixed: posteriors fix findings and track diseases.
-    Elimination passes reuse and fill ``cache``, an :class:`_Elimination`
-    for ``net``."""
+    Pruning and elimination reuse and fill ``cache``, an
+    :class:`_Elimination` for ``net``; an elimination answer it already
+    holds is returned as stored."""
     net.require_valid()
-    kept = _prune_barren(net, set(fixed) | set(track))
+    needed = frozenset(fixed).union(track)
+    entry = cache.pruned.get(needed)
+    if entry is None:
+        entry = cache.pruned[needed] = _prune_barren(net, needed), {}
+    kept, answers = entry
     unobserved = len(kept) - len(fixed)
     if method == "auto":
         # the parent counts matter only where elimination would run
@@ -260,9 +319,15 @@ def _query(net, fixed, track, method, cache):
     if method == "enumeration":
         return _enum_query(net, kept, fixed, track)
     if method == "elimination":
-        total = _ve_likelihood(net, kept, fixed, cache)
-        masses = {t: _ve_likelihood(net, kept, {**fixed, t: True}, cache) for t in track}
-        return total, masses
+        # every fixed id is kept, so the values over the kept order name the
+        # fixed assignment whatever its dict order
+        values = tuple(map(fixed.get, kept))
+        answer = answers.get(values)
+        if answer is None:
+            total = _ve_likelihood(net, kept, fixed, cache)
+            masses = {t: _ve_likelihood(net, kept, {**fixed, t: True}, cache) for t in track}
+            answer = answers[values] = total, masses
+        return answer
     raise DomainError(f"unknown inference method {method!r}")
 
 

@@ -5,7 +5,7 @@ formulation."""
 
 import random
 
-from nornet.factors import min_degree_order, sum_product_maps, sum_product_values
+from nornet.factors import gathers, min_degree_order, sum_product_maps, sum_product_values
 
 VARIABLES = ("a", "b", "c", "d", "e", "f")
 
@@ -13,7 +13,7 @@ VARIABLES = ("a", "b", "c", "d", "e", "f")
 def _sum_product(factors, var):
     """The sum-product step over (scope, table) factors, as elimination runs it."""
     scope, maps = sum_product_maps([s for s, _ in factors], var)
-    return scope, sum_product_values(maps, [t for _, t in factors])
+    return scope, sum_product_values(gathers(maps), [t for _, t in factors])
 
 
 def _entry(f, states):
@@ -58,14 +58,34 @@ def _random_factors(rng):
     return factors, var
 
 
+def _wide_factors(rng, width):
+    """Random factors whose output has exactly ``width`` variables: the
+    last factor spans them all."""
+    var, *others = [f"x{i:02d}" for i in range(width + 1)]
+    scopes = [{var, *rng.sample(others, rng.randint(0, width))} for _ in range(rng.randint(1, 3))]
+    scopes[-1].update(others)
+    factors = []
+    for scope in map(tuple, map(sorted, scopes)):
+        values = [rng.choice((0.0, 1.0, rng.random())) for _ in range(1 << len(scope))]
+        factors.append((scope, values))
+    return factors, var
+
+
 def test_matches_pairwise_reference_bit_for_bit():
     rng = random.Random(20260)
-    for _ in range(300):
-        factors, var = _random_factors(rng)
+    rows = [_random_factors(rng) for _ in range(300)]
+    # one-cell outputs, where every getter reads a one-entry slice, and
+    # outputs up to 12 variables wide
+    wide = random.Random(1213)
+    rows += [_wide_factors(wide, width) for width in range(13) for _ in range(2)]
+    widths = set()
+    for factors, var in rows:
         got_scope, got_values = _sum_product(factors, var)
         want_scope, want_values = _reference(factors, var)
         assert got_scope == want_scope
         assert got_values == want_values
+        widths.add(len(got_scope))
+    assert widths == set(range(13))
 
 
 def _reference_maps(scopes, var):

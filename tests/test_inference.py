@@ -490,3 +490,77 @@ class TestEliminationReuse:
                     continue
                 for did, value in enum.posteriors.items():
                     assert shared.posteriors[did] == pytest.approx(value, abs=1e-10)
+
+    def _phase_evidence(self):
+        # phase 3 of one case on the fan 3..4 criterion-8 network: every
+        # pass has elimination steps
+        net = criterion_8_net((3, 4))
+        case = generate_cases(net, 1, seed=7)[0]
+        return net, case.cumulative_evidence(3)
+
+    def _count_kernel_calls(self, monkeypatch):
+        calls = []
+        kernel = inference.sum_product_values
+
+        def counted(getters, tables):
+            calls.append(len(tables))
+            return kernel(getters, tables)
+
+        monkeypatch.setattr(inference, "sum_product_values", counted)
+        return calls
+
+    def test_repeated_query_runs_no_second_pass(self, monkeypatch):
+        net, evidence = self._phase_evidence()
+        fresh = posterior(net, evidence, method="elimination")
+        calls = self._count_kernel_calls(monkeypatch)
+        cache = inference._Elimination()
+        first = inference._posterior(net, evidence, None, "elimination", cache)
+        assert calls
+        calls.clear()
+        again = inference._posterior(net, dict(evidence), None, "elimination", cache)
+        assert calls == []
+        assert again == first == fresh
+
+    def test_reversed_evidence_hits_the_same_entry(self, monkeypatch):
+        net, evidence = self._phase_evidence()
+        cache = inference._Elimination()
+        first = inference._posterior(net, evidence, None, "elimination", cache)
+        reverse = dict(reversed(evidence.items()))
+        assert list(reverse) != list(evidence)
+        calls = self._count_kernel_calls(monkeypatch)
+        assert inference._posterior(net, reverse, None, "elimination", cache) == first
+        assert calls == []
+        ((_, answers),) = cache.pruned.values()
+        assert len(answers) == 1
+
+    def test_conjunction_over_every_disease_gets_its_own_answer(self):
+        # fixing both diseases needs the same ids as tracking them, so the
+        # two queries of one posterior share a pruned entry but not an
+        # answer; a fresh call shares it too, so check against enumeration
+        net = self._pitfall_net()
+        evidence = {"f1": True, "f2": False}
+        cache = inference._Elimination()
+        shared = inference._posterior(net, evidence, ["d1", "d2"], "elimination", cache)
+        enum = posterior(net, evidence, conjunction=["d1", "d2"], method="enumeration")
+        assert shared.conjunction == pytest.approx(enum.conjunction, abs=1e-12)
+        assert shared.conjunction < 1.0
+        ((_, answers),) = cache.pruned.values()
+        assert len(answers) == 2
+
+    def test_prunes_once_per_needed_id_set(self, monkeypatch):
+        net = criterion_8_net((1, 2))
+        cases = generate_cases(net, 4, seed=3)
+        walks = []
+        prune = inference._prune_barren
+
+        def counted(net, needed):
+            walks.append(needed)
+            return prune(net, needed)
+
+        monkeypatch.setattr(inference, "_prune_barren", counted)
+        cache = inference._Elimination()
+        for case in cases:
+            for phase in range(1, 6):
+                evidence = case.cumulative_evidence(phase)
+                inference._posterior(net, evidence, None, "elimination", cache)
+        assert len(walks) == len(set(walks)) == 5
