@@ -9,7 +9,6 @@ and run seeded full-vs-reduced diagnostic-accuracy experiments.
 from .analysis import (
     FanStats,
     StarConfig,
-    closed_form_posteriors,
     fan_stats,
     ips_path_stats,
     predict_bias,
@@ -108,7 +107,6 @@ __all__ = [
     "Violation",
     "absorb_leak",
     "cases_csv",
-    "closed_form_posteriors",
     "compose_serial",
     "disease",
     "eliminate_ips",

@@ -196,19 +196,29 @@ def fan_in_ratio(cfg: StarConfig) -> float:
                  [1 - prod(1 - p_k q)] (1 - rho_f)
 
     This is exact only when every leak is 0 (see the module docstring).
+    Where the denominator falls below the smallest normal double, every
+    p_k q is below 2**-969, so 1 - prod(1 - p_k q) is q sum(p_k) to double
+    precision, and q is cancelled from both terms before they lose their
+    digits.
 
     Raises DomainError when the denominator is zero (q or every p_k is 0,
-    or rho_f is 1) or below the smallest normal double, where it has lost
-    its digits. The numerator is at most 1, so the ratio cannot overflow.
+    or rho_f is 1) or when the ratio overflows a double.
     """
     if cfg.fan_out != 1:
         raise DomainError("fan_in_ratio needs fan-out 1")
-    numerator, denominator = _fan_in_terms(cfg)
-    if denominator < sys.float_info.min:
-        if cfg.q[0] == 0.0 or not any(cfg.p) or cfg.rho_f[0] == 1.0:
-            raise DomainError("collapsed-network likelihood is zero for this star")
-        raise DomainError("collapsed-network likelihood underflows a double for this star")
-    return numerator / denominator
+    q, rho_f = cfg.q[0], cfg.rho_f[0]
+    if q == 0.0 or not any(cfg.p) or rho_f == 1.0:
+        raise DomainError("collapsed-network likelihood is zero for this star")
+    none_on = math.prod(1.0 - pk for pk in cfg.p)
+    layered = q * (1.0 - cfg.rho_i) * _one_minus_prod(cfg.p) + rho_f * none_on
+    collapsed = _one_minus_prod([pk * q for pk in cfg.p]) * (1.0 - rho_f)
+    if collapsed < sys.float_info.min:
+        layered = (1.0 - cfg.rho_i) * _one_minus_prod(cfg.p) + rho_f * none_on / q
+        collapsed = sum(cfg.p) * (1.0 - rho_f)
+    ratio = layered / collapsed if collapsed else math.inf
+    if ratio == math.inf:
+        raise DomainError("fan-in ratio overflows a double")
+    return ratio
 
 
 def fan_out_ratio(cfg: StarConfig) -> tuple[float, float]:
@@ -240,31 +250,6 @@ def fan_out_ratio(cfg: StarConfig) -> tuple[float, float]:
     if exact == math.inf:
         raise DomainError("fan-out ratio overflows a double")
     return exact, approx
-
-
-def closed_form_posteriors(
-    cfg: StarConfig, prior_over_d: float, p_f: float
-) -> tuple[float, float]:
-    """The two fan-out-1 posterior expressions with the shared
-    prior/normalizer factor prior_over_d / p_f applied; used to
-    cross-validate the ratio against inference on zero-leak stars."""
-    if cfg.fan_out != 1:
-        raise DomainError("closed_form_posteriors needs fan-out 1")
-    if not 0.0 < prior_over_d <= 1.0 or not 0.0 < p_f <= 1.0:
-        raise DomainError("prior and normalizer must be in (0, 1]")
-    three, two = _fan_in_terms(cfg)
-    factor = prior_over_d / p_f
-    return three * factor, two * factor
-
-
-def _fan_in_terms(cfg: StarConfig) -> tuple[float, float]:
-    """Layered and collapsed fan-out-1 terms, before the prior/normalizer factor."""
-    q = cfg.q[0]
-    rho_f = cfg.rho_f[0]
-    none_on = math.prod(1.0 - pk for pk in cfg.p)
-    layered = q * (1.0 - cfg.rho_i) * _one_minus_prod(cfg.p) + rho_f * none_on
-    collapsed = _one_minus_prod([pk * q for pk in cfg.p]) * (1.0 - rho_f)
-    return layered, collapsed
 
 
 def _one_minus_prod(xs: Iterable[float]) -> float:

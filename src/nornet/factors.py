@@ -4,9 +4,9 @@ elimination, plus min-degree elimination ordering.
 The sum-product step multiplies the factors that mention a variable and
 sums it out in one pass. It comes in two halves, so that an elimination
 plan can build the symbolic one once and run the numeric one per query:
-:func:`sum_product_maps` depends on scopes only, :func:`sum_product_values`
-on the tables. :func:`gathers` turns the index maps into the
-``operator.itemgetter`` pairs that the numeric half reads tables with.
+:func:`sum_product_maps` depends on scopes only and gives the
+``operator.itemgetter`` pairs that :func:`sum_product_values` reads the
+tables with.
 
 A factor is a scope, a sorted tuple of node ids, and a table, a flat list
 of 2**k floats; bit i of a table index is the state of scope variable i.
@@ -22,15 +22,16 @@ from operator import add, itemgetter, mul
 def sum_product_maps(scopes, var):
     """The symbolic half of the sum-product step over factors with
     ``scopes``, each of which mentions ``var``: the output scope, and per
-    factor the table index of every output cell with ``var`` absent and
-    with it present. The index lists grow by doubling, one output variable
-    at a time: the upper half of each copy sets that variable's bit in the
-    factor, or repeats the lower half outside its scope. Factors with equal
-    scopes share one pair of lists."""
+    factor the pair of getters (see :func:`getter`) that read its table at
+    every output cell with ``var`` absent and with it present. Their index
+    lists grow by doubling, one output variable at a time: the upper half
+    of each copy sets that variable's bit in the factor, or repeats the
+    lower half outside its scope. Factors with equal scopes share one
+    pair."""
     scope = tuple(sorted({v for s in scopes for v in s} - {var}))
-    maps = {}
+    pairs = {}
     for s in scopes:
-        if s not in maps:
+        if s not in pairs:
             absent, present = [0], [1 << s.index(var)]
             for v in scope:
                 if v in s:
@@ -40,8 +41,8 @@ def sum_product_maps(scopes, var):
                 else:
                     absent *= 2
                     present *= 2
-            maps[s] = (absent, present)
-    return scope, [maps[s] for s in scopes]
+            pairs[s] = getter(absent), getter(present)
+    return scope, [pairs[s] for s in scopes]
 
 
 def getter(indices):
@@ -52,25 +53,13 @@ def getter(indices):
     return itemgetter(*indices)
 
 
-def gathers(maps):
-    """Per factor of ``maps`` (from :func:`sum_product_maps`), the pair of
-    getters that read its table with the eliminated variable absent and
-    present. Factors that share one pair of lists share one pair of
-    getters."""
-    made = {}
-    for pair in maps:
-        if id(pair) not in made:
-            made[id(pair)] = (getter(pair[0]), getter(pair[1]))
-    return [made[id(pair)] for pair in maps]
-
-
 def sum_product_values(getters, tables):
     """The numeric half of the sum-product step: per output cell, the
     products of the tables' entries in list order with the eliminated
     variable absent and present, then their sum, read through the getter
-    pairs of :func:`gathers`. Starting each product from the first table's
-    entry instead of 1.0 changes no bit, and neither does ``map(mul, ...)``:
-    it forms the same products in the same order."""
+    pairs of :func:`sum_product_maps`. Starting each product from the first
+    table's entry instead of 1.0 changes no bit, and neither does
+    ``map(mul, ...)``: it forms the same products in the same order."""
     pairs = iter(zip(getters, tables))
     (absent, present), values = next(pairs)
     p0 = absent(values)

@@ -24,16 +24,17 @@ a kept node has more, ``auto`` enumerates up to 20 unobserved nodes and
 above that eliminates, which raises the cap's :class:`DomainError`.
 
 An elimination pass is a symbolic plan run numerically. The plan is
-keyed by the kept nodes and the fixed ids. It holds the factor scopes, the
-min-degree order, the tables of nodes with no fixed family member, and
-per step its slots and gathers. The pass looks up the other node tables
-by the node and its fixed family values. All of this lives in an
-:class:`_Elimination` cache that one call owns. The cache also prunes
-once per needed id set, shares each step's gathers among the plans that
-repeat the step, and stores every elimination answer, so a repeated
-query runs no pass; that store grows with the distinct queries of the
-call. A standalone posterior shares one cache across its 1 + |diseases|
-passes, and ``run_experiment`` shares one per network across its cases.
+keyed by the needed ids and the fixed ids. It holds the factor scopes,
+the min-degree order, per kept node where its tables are found, and per
+step its slots and getters. The pass looks up every node table the same
+way, by the node, its fixed family ids and their values. All of this
+lives in an :class:`_Elimination` cache that one call owns, in three
+stores: per needed id set the kept order, plans and answers, so a
+repeated query runs no pass; per node its family and tables; and per
+step its getters, shared among the plans that repeat the step. The
+answers grow with the distinct queries of the call. A standalone
+posterior shares one cache across its 1 + |diseases| passes, and
+``run_experiment`` shares one per network across its cases.
 Nothing outlives the call that made it.
 """
 
@@ -44,7 +45,7 @@ from dataclasses import dataclass
 from operator import itemgetter
 
 from .errors import DomainError, EvidenceError, IncompleteAssignmentError
-from .factors import gathers, getter, min_degree_order, sum_product_maps, sum_product_values
+from .factors import getter, min_degree_order, sum_product_maps, sum_product_values
 from .model import Network, NodeKind, row_prob
 
 DEFAULT_ENUMERATION_THRESHOLD = 9
@@ -155,34 +156,30 @@ def _enum_query(net, kept_order, fixed, track):
 class _Elimination:
     """Reusable elimination work for one network, held by whoever makes it
     and dropped with it; nothing is stored on the network or the module.
+    Its three stores are each keyed by what their work depends on.
 
-    ``pruned`` maps a needed id set to its kept order and to the answers
-    given for it so far. An answer's key is the fixed values over the kept
-    order, ``None`` where a node is not fixed, so it copies neither the
-    evidence nor the id set. ``families`` maps a node to its family
-    (itself, then its parents) and that family sorted.
+    ``shapes`` maps a needed id set to its kept order, its plans keyed by
+    fixed-id set (see :func:`_plan`), and the answers given for it so far.
+    An answer's key is the fixed values over the kept order, ``None`` where
+    a node is not fixed, so it copies neither the evidence nor the id set.
 
-    ``plans`` maps (kept order, fixed-id set) to the symbolic part of a
-    pass: the tables of kept nodes with no fixed family member, the fixed
-    family ids and scope of every other kept node, and per elimination
-    step the factor slots it sums and their gathers. ``steps`` maps a
-    step's (input scopes, variable) to its output scope and gathers: the
-    1 + |diseases| plans of one evidence id set often repeat a step.
+    ``nodes`` maps a node to its family (itself, then its parents), that
+    family sorted, and its tables keyed by fixed family ids and then by the
+    fixed values as ``operator.itemgetter(*ids)`` reads them (a bare value
+    for one id, ``()`` for none). Under noisy-OR a table depends on nothing
+    else, so every query that fixes the same family members to the same
+    values shares it. The ids belong in the key: a finding with parents
+    ``d1`` and ``d2`` fixes (``d1``, itself) in one disease pass and
+    (``d2``, itself) in another.
 
-    ``tables`` maps (node, fixed family ids) to that node's tables, keyed
-    by the fixed values as ``operator.itemgetter(*ids)`` reads them (a bare
-    value for one id, ``()`` for none). Under noisy-OR a table depends on
-    nothing else, so every query that fixes the same family members to the
-    same values shares it. The ids belong in the key: a finding with
-    parents ``d1`` and ``d2`` fixes (``d1``, itself) in one disease pass and
-    (``d2``, itself) in another."""
+    ``steps`` maps a step's (input scopes, variable) to its output scope
+    and getter pairs: the 1 + |diseases| plans of one evidence id set often
+    repeat a step."""
 
     def __init__(self):
-        self.pruned = {}
-        self.families = {}
-        self.plans = {}
+        self.shapes = {}
+        self.nodes = {}
         self.steps = {}
-        self.tables = {}
 
 
 def _node_factor(compiled, nid, scope, held):
@@ -204,44 +201,33 @@ def _node_factor(compiled, nid, scope, held):
     return values
 
 
-def _family(compiled, nid):
-    """``nid``'s family, itself then its parents, and that family sorted."""
-    parents = compiled.rows[compiled.index[nid]][2]
-    if len(parents) > DEFAULT_MAX_FACTOR_PARENTS:
-        raise DomainError(
-            f"node {nid!r} has {len(parents)} parents; elimination materializes "
-            f"full tables only up to {DEFAULT_MAX_FACTOR_PARENTS} parents"
-        )
-    family = (nid, *[compiled.order[j] for j, _ in parents])
-    return family, tuple(sorted(family))
-
-
 def _plan(compiled, kept_order, fixed, cache):
-    """The symbolic part of one elimination pass: ``(tables, nodes, steps,
+    """The symbolic part of one elimination pass: ``(nodes, steps,
     final)``. Factor slots number the node tables in kept order, then each
-    step's output. ``tables`` holds the node tables that depend on no fixed
-    value, and ``None`` in the slot of each node of ``nodes``, whose table
-    the pass looks up by the values that node's getter reads from the
-    evidence. A step sums the slots that mention its variable, in
-    factor-list order, and its output joins the end of the list; ``final``
-    holds the slots left, whose single entries multiply to the
+    step's output. ``nodes`` holds per kept node the getter of its fixed
+    family values, its tables for those fixed ids in ``cache.nodes``, and
+    what building a missing table takes; the pass looks up every node
+    table this one way. A step sums the slots that mention its variable,
+    in factor-list order, and its output joins the end of the list;
+    ``final`` holds the slots left, whose single entries multiply to the
     likelihood."""
-    tables, nodes, scopes = [], [], []
-    for slot, nid in enumerate(kept_order):
-        family = cache.families.get(nid)
-        if family is None:
-            family = cache.families[nid] = _family(compiled, nid)
-        ids = tuple([v for v in family[0] if v in fixed])
-        scope = tuple([v for v in family[1] if v not in fixed])
-        known = cache.tables.setdefault((nid, ids), {})
-        table = None
-        if ids:
-            nodes.append((slot, itemgetter(*ids), known, nid, ids, scope))
-        else:
-            table = known.get(())
-            if table is None:
-                table = known[()] = _node_factor(compiled, nid, scope, ())
-        tables.append(table)
+    nodes, scopes = [], []
+    for nid in kept_order:
+        node = cache.nodes.get(nid)
+        if node is None:
+            parents = compiled.rows[compiled.index[nid]][2]
+            if len(parents) > DEFAULT_MAX_FACTOR_PARENTS:
+                raise DomainError(
+                    f"node {nid!r} has {len(parents)} parents; elimination materializes "
+                    f"full tables only up to {DEFAULT_MAX_FACTOR_PARENTS} parents"
+                )
+            family = (nid, *[compiled.order[j] for j, _ in parents])
+            node = cache.nodes[nid] = family, tuple(sorted(family)), {}
+        family, ordered, tables = node
+        ids = tuple([v for v in family if v in fixed])
+        scope = tuple([v for v in ordered if v not in fixed])
+        read = itemgetter(*ids) if ids else lambda _: ()
+        nodes.append((read, tables.setdefault(ids, {}), nid, ids, scope))
         scopes.append(scope)
     hidden = sorted([nid for nid in kept_order if nid not in fixed])
     # the slots that mention each hidden node, ascending; a step sums those
@@ -258,31 +244,31 @@ def _plan(compiled, kept_order, fixed, cache):
         inputs = tuple([scopes[k] for k in related])
         step = cache.steps.get((inputs, var))
         if step is None:
-            scope, maps = sum_product_maps(inputs, var)
-            step = cache.steps[inputs, var] = scope, gathers(maps)
+            step = cache.steps[inputs, var] = sum_product_maps(inputs, var)
         for v in step[0]:
             mentions[v].append(len(scopes))
         scopes.append(step[0])
         steps.append((getter(related), step[1]))
     final = [k for k in range(len(scopes)) if k not in summed]
-    return tables, nodes, steps, final
+    return nodes, steps, final
 
 
-def _ve_likelihood(net, kept_order, fixed, cache):
-    compiled = net.compiled
-    key = (kept_order, frozenset(fixed))
-    plan = cache.plans.get(key)
+def _ve_likelihood(compiled, kept_order, plans, fixed, cache):
+    """P(fixed assignment) by one elimination pass over the plan that
+    ``plans`` holds for the fixed ids, planned first if it is missing."""
+    key = frozenset(fixed)
+    plan = plans.get(key)
     if plan is None:
-        plan = cache.plans[key] = _plan(compiled, kept_order, fixed, cache)
-    tables, nodes, steps, final = plan
-    tables = tables.copy()
-    for slot, read, known, nid, ids, scope in nodes:
+        plan = plans[key] = _plan(compiled, kept_order, fixed, cache)
+    nodes, steps, final = plan
+    tables = []
+    for read, known, nid, ids, scope in nodes:
         values = read(fixed)
         table = known.get(values)
         if table is None:
             held = [(v, fixed[v]) for v in ids]
             table = known[values] = _node_factor(compiled, nid, scope, held)
-        tables[slot] = table
+        tables.append(table)
     for related, getters in steps:
         tables.append(sum_product_values(getters, related(tables)))
     result = 1.0
@@ -302,10 +288,10 @@ def _query(net, fixed, track, method, cache):
     holds is returned as stored."""
     net.require_valid()
     needed = frozenset(fixed).union(track)
-    entry = cache.pruned.get(needed)
-    if entry is None:
-        entry = cache.pruned[needed] = _prune_barren(net, needed), {}
-    kept, answers = entry
+    shape = cache.shapes.get(needed)
+    if shape is None:
+        shape = cache.shapes[needed] = _prune_barren(net, needed), {}, {}
+    kept, plans, answers = shape
     unobserved = len(kept) - len(fixed)
     if method == "auto":
         # the parent counts matter only where elimination would run
@@ -324,8 +310,12 @@ def _query(net, fixed, track, method, cache):
         values = tuple(map(fixed.get, kept))
         answer = answers.get(values)
         if answer is None:
-            total = _ve_likelihood(net, kept, fixed, cache)
-            masses = {t: _ve_likelihood(net, kept, {**fixed, t: True}, cache) for t in track}
+            compiled = net.compiled
+            total = _ve_likelihood(compiled, kept, plans, fixed, cache)
+            masses = {
+                t: _ve_likelihood(compiled, kept, plans, {**fixed, t: True}, cache)
+                for t in track
+            }
             answer = answers[values] = total, masses
         return answer
     raise DomainError(f"unknown inference method {method!r}")

@@ -5,7 +5,6 @@ from nornet import (
     DomainError,
     SplitMix64,
     StarConfig,
-    closed_form_posteriors,
     event_prob,
     fan_stats,
     level_reduce,
@@ -107,9 +106,11 @@ class TestRatioR1:
             (StarConfig(p=(0.0, 0.0), q=(0.5,)), "is zero for this star"),
             (StarConfig(p=(0.5,), q=(0.0,)), "is zero for this star"),
             (StarConfig(p=(0.5,), q=(0.5,), rho_f=(1.0,)), "is zero for this star"),
-            (StarConfig(p=(1e-300,), q=(1e-300,)), "underflows a double"),
-            # below the smallest normal double, though not 0
-            (StarConfig(p=(1e-300,), q=(1e-10,), rho_f=(0.5,)), "underflows a double"),
+            # p subnormal: the ratio is about 2e310
+            (StarConfig(p=(1e-310,), q=(0.5,), rho_f=(0.5,)), "overflows a double"),
+            # the denominator is below the smallest normal double, though
+            # not 0, and the ratio is about 1e310
+            (StarConfig(p=(1e-300,), q=(1e-10,), rho_f=(0.5,)), "overflows a double"),
             (StarConfig(p=(0.5,), q=(0.5, 0.5), rho_f=(0.0, 0.0)), "needs fan-out 1"),
         ],
     )
@@ -125,6 +126,12 @@ class TestRatioR1:
             ((1e-20, 3e-20), 0.5),
             ((1.5e-16,), 0.5),
             ((1e-12,), 0.5),
+            # the denominator, about sum(p) q, is below the smallest normal
+            # double
+            ((1e-300,), 1e-300),
+            ((1e-300,), 1e-10),
+            ((1e-300, 3e-300), 1e-10),
+            ((1e-310,), 0.5),
         ],
     )
     def test_survives_one_minus_product_cancelling(self, p, q):
@@ -132,9 +139,6 @@ class TestRatioR1:
         # x; the ratio is 1 leak-free
         cfg = StarConfig(p=p, q=(q,))
         assert fan_in_ratio(cfg) == pytest.approx(1.0, rel=1e-15)
-        three, two = closed_form_posteriors(cfg, 1.0, 1.0)
-        assert two == pytest.approx(sum(p) * q, rel=1e-15)
-        assert three == pytest.approx(two, rel=1e-15)
 
     def test_symmetric_in_disease_order(self):
         rng = SplitMix64(43)
@@ -277,43 +281,6 @@ class TestRatioR2:
             lik2 = event_prob(two, {**cond, **event}) / event_prob(two, cond)
             exact, _ = fan_out_ratio(cfg)
             assert exact == pytest.approx(lik3 / lik2, rel=1e-10)
-
-
-class TestClosedFormPosteriors:
-    def test_unit_factor_spot_values(self):
-        cfg = StarConfig(p=(0.5, 0.5), q=(0.5,))
-        three, two = closed_form_posteriors(cfg, prior_over_d=1.0, p_f=1.0)
-        assert three == pytest.approx(0.375)
-        assert two == pytest.approx(0.4375)
-        assert three / two == pytest.approx(fan_in_ratio(cfg), rel=1e-12)
-
-    def test_unit_fan_leak_free_posteriors_coincide(self):
-        cfg = StarConfig(p=(0.6,), q=(0.7,))
-        three, two = closed_form_posteriors(cfg, prior_over_d=0.3, p_f=0.5)
-        assert three == pytest.approx(two, rel=1e-14)
-
-    def test_unit_factor_terms_give_the_ratio_bit_for_bit(self):
-        rng = SplitMix64(61)
-        for _ in range(200):
-            m = rng.randint(1, 4)
-            cfg = StarConfig(
-                p=tuple(rng.uniform(0.05, 1.0) for _ in range(m)),
-                q=(rng.uniform(0.05, 1.0),),
-                rho_i=rng.uniform(0.0, 0.3),
-                rho_f=(rng.uniform(0.0, 0.3),),
-            )
-            three, two = closed_form_posteriors(cfg, 1.0, 1.0)
-            assert fan_in_ratio(cfg) == three / two
-
-    def test_fan_out_required(self):
-        with pytest.raises(DomainError):
-            closed_form_posteriors(
-                StarConfig(p=(0.5,), q=(0.5, 0.5), rho_f=(0.0, 0.0)), 1.0, 1.0
-            )
-
-    def test_zero_prior_rejected(self):
-        with pytest.raises(DomainError, match=r"prior and normalizer must be in \(0, 1\]"):
-            closed_form_posteriors(StarConfig(p=(0.5,), q=(0.5,)), 0.0, 1.0)
 
 
 class TestStarConfig:

@@ -5,15 +5,15 @@ formulation."""
 
 import random
 
-from nornet.factors import gathers, min_degree_order, sum_product_maps, sum_product_values
+from nornet.factors import min_degree_order, sum_product_maps, sum_product_values
 
 VARIABLES = ("a", "b", "c", "d", "e", "f")
 
 
 def _sum_product(factors, var):
     """The sum-product step over (scope, table) factors, as elimination runs it."""
-    scope, maps = sum_product_maps([s for s, _ in factors], var)
-    return scope, sum_product_values(gathers(maps), [t for _, t in factors])
+    scope, getters = sum_product_maps([s for s, _ in factors], var)
+    return scope, sum_product_values(getters, [t for _, t in factors])
 
 
 def _entry(f, states):
@@ -116,7 +116,12 @@ def test_index_maps_match_per_cell_bit_loop():
             tuple(sorted({var, *rng.sample(others, rng.randint(0, len(others)))}))
             for _ in range(rng.randint(1, 4))
         ]
-        scope, maps = sum_product_maps(scopes, var)
+        scope, pairs = sum_product_maps(scopes, var)
+        # each getter applied to a table's own indices reads its index list
+        maps = [
+            tuple(list(read(range(1 << len(s)))) for read in pair)
+            for s, pair in zip(scopes, pairs)
+        ]
         assert (scope, maps) == _reference_maps(scopes, var)
         widths.add(len(scope))
     assert widths == set(range(9))

@@ -530,8 +530,31 @@ class TestEliminationReuse:
         calls = self._count_kernel_calls(monkeypatch)
         assert inference._posterior(net, reverse, None, "elimination", cache) == first
         assert calls == []
-        ((_, answers),) = cache.pruned.values()
+        ((_, _, answers),) = cache.shapes.values()
         assert len(answers) == 1
+
+    def test_plans_share_step_maps_and_other_values_plan_nothing(self, monkeypatch):
+        net = criterion_8_net((3, 4))
+        evidence = generate_cases(net, 1, seed=7)[0].cumulative_evidence(1)
+        calls = []
+        for name in ("sum_product_maps", "min_degree_order"):
+            work = getattr(inference, name)
+
+            def counted(*args, name=name, work=work):
+                calls.append(name)
+                return work(*args)
+
+            monkeypatch.setattr(inference, name, counted)
+        cache = inference._Elimination()
+        inference._posterior(net, evidence, None, "elimination", cache)
+        ((_, plans, _),) = cache.shapes.values()
+        steps = sum(len(plan_steps) for _, plan_steps, _ in plans.values())
+        # the 1 + |diseases| plans of one id set repeat steps, which share maps
+        assert 0 < calls.count("sum_product_maps") < steps
+        calls.clear()
+        other = {fid: not value for fid, value in evidence.items()}
+        inference._posterior(net, other, None, "elimination", cache)
+        assert calls == []
 
     def test_conjunction_over_every_disease_gets_its_own_answer(self):
         # fixing both diseases needs the same ids as tracking them, so the
@@ -544,7 +567,7 @@ class TestEliminationReuse:
         enum = posterior(net, evidence, conjunction=["d1", "d2"], method="enumeration")
         assert shared.conjunction == pytest.approx(enum.conjunction, abs=1e-12)
         assert shared.conjunction < 1.0
-        ((_, answers),) = cache.pruned.values()
+        ((_, _, answers),) = cache.shapes.values()
         assert len(answers) == 2
 
     def test_prunes_once_per_needed_id_set(self, monkeypatch):
