@@ -17,7 +17,6 @@ networks' ratio 0.88608. ``fan_out_ratio`` has no rho_i term.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from collections.abc import Iterable, Mapping
 
@@ -196,10 +195,11 @@ def fan_in_ratio(cfg: StarConfig) -> float:
                  [1 - prod(1 - p_k q)] (1 - rho_f)
 
     This is exact only when every leak is 0 (see the module docstring).
-    Where the denominator falls below the smallest normal double, every
-    p_k q is below 2**-969, so 1 - prod(1 - p_k q) is q sum(p_k) to double
-    precision, and q is cancelled from both terms before they lose their
-    digits.
+    Where every p_k q is below 2**-969, 1 - prod(1 - p_k q) is q sum(p_k)
+    to double precision, so q is cancelled from both terms before they
+    can turn subnormal and lose their digits. That covers every star whose
+    denominator falls below the smallest normal double, since 1 - rho_f is
+    at least 2**-53 there.
 
     Raises DomainError when the denominator is zero (q or every p_k is 0,
     or rho_f is 1) or when the ratio overflows a double.
@@ -212,7 +212,7 @@ def fan_in_ratio(cfg: StarConfig) -> float:
     none_on = math.prod(1.0 - pk for pk in cfg.p)
     layered = q * (1.0 - cfg.rho_i) * _one_minus_prod(cfg.p) + rho_f * none_on
     collapsed = _one_minus_prod([pk * q for pk in cfg.p]) * (1.0 - rho_f)
-    if collapsed < sys.float_info.min:
+    if max(cfg.p) * q < 2.0**-969:
         layered = (1.0 - cfg.rho_i) * _one_minus_prod(cfg.p) + rho_f * none_on / q
         collapsed = sum(cfg.p) * (1.0 - rho_f)
     ratio = layered / collapsed if collapsed else math.inf

@@ -136,12 +136,11 @@ class ExperimentSummary:
     param_count_reduced: int
 
 
-def _eval_case(evidence_by_phase, full, reduced, full_cache, reduced_cache):
+def _eval_case(evidence_by_phase, engines):
+    """Per phase, one posterior dict per :class:`_Elimination` of
+    ``engines``, in their order."""
     return [
-        (
-            _posterior(full, evidence, None, "elimination", full_cache).posteriors,
-            _posterior(reduced, evidence, None, "elimination", reduced_cache).posteriors,
-        )
+        [_posterior(engine, evidence, None, "elimination").posteriors for engine in engines]
         for evidence in evidence_by_phase
     ]
 
@@ -169,19 +168,13 @@ def run_experiment(
     diseases = sorted(n.id for n in full.nodes_of_kind(NodeKind.DISEASE))
 
     tasks = [[case.cumulative_evidence(phase) for phase in PHASES] for case in cases]
-    # One elimination cache per network for this call: every case fixes the
-    # same finding ids at a phase, so pruning, plans and node tables repeat,
-    # and cases whose evidence agrees up to a phase ask the same query,
-    # which the cache answers once. Its answers grow with the distinct
-    # queries, and it dies with this call. In a pool, each chunk unpickles
-    # its own empty copy.
-    evaluate = partial(
-        _eval_case,
-        full=full,
-        reduced=reduced,
-        full_cache=_Elimination(),
-        reduced_cache=_Elimination(),
-    )
+    # One query engine per network for this call; each holds its network,
+    # so neither can answer for the other, though they share every id.
+    # Every case fixes the same finding ids at a phase, so pruning, plans
+    # and node tables repeat, and an engine answers a repeated query once.
+    # It dies with this call; in a pool, each chunk unpickles its own copy
+    # of both engines, networks included, with empty stores.
+    evaluate = partial(_eval_case, engines=(_Elimination(full), _Elimination(reduced)))
     workers = min(jobs, n_cases)
     if workers == 1:
         results = list(map(evaluate, tasks))

@@ -28,14 +28,14 @@ keyed by the needed ids and the fixed ids. It holds the factor scopes,
 the min-degree order, per kept node where its tables are found, and per
 step its slots and getters. The pass looks up every node table the same
 way, by the node, its fixed family ids and their values. All of this
-lives in an :class:`_Elimination` cache that one call owns, in three
-stores: per needed id set the kept order, plans and answers, so a
-repeated query runs no pass; per node its family and tables; and per
-step its getters, shared among the plans that repeat the step. The
-answers grow with the distinct queries of the call. A standalone
-posterior shares one cache across its 1 + |diseases| passes, and
-``run_experiment`` shares one per network across its cases.
-Nothing outlives the call that made it.
+lives in an :class:`_Elimination`, one network's query engine that one
+call owns: it holds the network and its disease ids, and three stores:
+per needed id set the kept order, plans and answers, so a repeated query
+runs no pass; per node its family and tables; and per step its getters,
+shared among the plans that repeat the step. The answers grow with the
+distinct queries of the call. A standalone posterior makes one engine
+for its 1 + |diseases| passes, and ``run_experiment`` makes one per
+network for all its cases. Nothing outlives the call that made it.
 """
 
 from __future__ import annotations
@@ -154,9 +154,10 @@ def _enum_query(net, kept_order, fixed, track):
 
 
 class _Elimination:
-    """Reusable elimination work for one network, held by whoever makes it
-    and dropped with it; nothing is stored on the network or the module.
-    Its three stores are each keyed by what their work depends on.
+    """One network's query engine: ``net``, its disease ids ``diseases``,
+    and the elimination work its queries can reuse, held by whoever makes
+    it and dropped with it; nothing is stored on the network or the
+    module. Its three stores are each keyed by what their work depends on.
 
     ``shapes`` maps a needed id set to its kept order, its plans keyed by
     fixed-id set (see :func:`_plan`), and the answers given for it so far.
@@ -176,7 +177,9 @@ class _Elimination:
     and getter pairs: the 1 + |diseases| plans of one evidence id set often
     repeat a step."""
 
-    def __init__(self):
+    def __init__(self, net: Network):
+        self.net = net
+        self.diseases = tuple(n.id for n in net.nodes_of_kind(NodeKind.DISEASE))
         self.shapes = {}
         self.nodes = {}
         self.steps = {}
@@ -201,7 +204,7 @@ def _node_factor(compiled, nid, scope, held):
     return values
 
 
-def _plan(compiled, kept_order, fixed, cache):
+def _plan(cache, kept_order, fixed):
     """The symbolic part of one elimination pass: ``(nodes, steps,
     final)``. Factor slots number the node tables in kept order, then each
     step's output. ``nodes`` holds per kept node the getter of its fixed
@@ -211,6 +214,7 @@ def _plan(compiled, kept_order, fixed, cache):
     in factor-list order, and its output joins the end of the list;
     ``final`` holds the slots left, whose single entries multiply to the
     likelihood."""
+    compiled = cache.net.compiled
     nodes, scopes = [], []
     for nid in kept_order:
         node = cache.nodes.get(nid)
@@ -253,13 +257,13 @@ def _plan(compiled, kept_order, fixed, cache):
     return nodes, steps, final
 
 
-def _ve_likelihood(compiled, kept_order, plans, fixed, cache):
+def _ve_likelihood(cache, kept_order, plans, fixed):
     """P(fixed assignment) by one elimination pass over the plan that
     ``plans`` holds for the fixed ids, planned first if it is missing."""
     key = frozenset(fixed)
     plan = plans.get(key)
     if plan is None:
-        plan = plans[key] = _plan(compiled, kept_order, fixed, cache)
+        plan = plans[key] = _plan(cache, kept_order, fixed)
     nodes, steps, final = plan
     tables = []
     for read, known, nid, ids, scope in nodes:
@@ -267,7 +271,7 @@ def _ve_likelihood(compiled, kept_order, plans, fixed, cache):
         table = known.get(values)
         if table is None:
             held = [(v, fixed[v]) for v in ids]
-            table = known[values] = _node_factor(compiled, nid, scope, held)
+            table = known[values] = _node_factor(cache.net.compiled, nid, scope, held)
         tables.append(table)
     for related, getters in steps:
         tables.append(sum_product_values(getters, related(tables)))
@@ -280,12 +284,13 @@ def _ve_likelihood(compiled, kept_order, plans, fixed, cache):
 # -- shared dispatch ------------------------------------------------------------
 
 
-def _query(net, fixed, track, method, cache):
-    """P(fixed assignment) and, per tracked node, P(node present AND fixed).
-    No tracked node is fixed: posteriors fix findings and track diseases.
-    Pruning and elimination reuse and fill ``cache``, an
-    :class:`_Elimination` for ``net``; an elimination answer it already
+def _query(cache, fixed, track, method):
+    """P(fixed assignment) and, per tracked node, P(node present AND fixed)
+    in ``cache.net``. No tracked node is fixed: posteriors fix findings and
+    track diseases. Pruning and elimination reuse and fill the stores of
+    ``cache``, an :class:`_Elimination`; an elimination answer it already
     holds is returned as stored."""
+    net = cache.net
     net.require_valid()
     needed = frozenset(fixed).union(track)
     shape = cache.shapes.get(needed)
@@ -310,12 +315,8 @@ def _query(net, fixed, track, method, cache):
         values = tuple(map(fixed.get, kept))
         answer = answers.get(values)
         if answer is None:
-            compiled = net.compiled
-            total = _ve_likelihood(compiled, kept, plans, fixed, cache)
-            masses = {
-                t: _ve_likelihood(compiled, kept, plans, {**fixed, t: True}, cache)
-                for t in track
-            }
+            total = _ve_likelihood(cache, kept, plans, fixed)
+            masses = {t: _ve_likelihood(cache, kept, plans, {**fixed, t: True}) for t in track}
             answer = answers[values] = total, masses
         return answer
     raise DomainError(f"unknown inference method {method!r}")
@@ -324,7 +325,7 @@ def _query(net, fixed, track, method, cache):
 def event_prob(net: Network, assignment: Mapping, *, method: str = "auto") -> float:
     """Probability of a partial assignment over any subset of nodes."""
     fixed = _normalize_assignment(net, assignment)
-    total, _ = _query(net, fixed, (), method, _Elimination())
+    total, _ = _query(_Elimination(net), fixed, (), method)
     return total
 
 
@@ -345,18 +346,18 @@ def posterior(
     Evidence may assign finding nodes only. With ``conjunction`` set, the
     result also carries P(all listed nodes present | evidence).
     """
-    return _posterior(net, evidence, conjunction, method, _Elimination())
+    return _posterior(_Elimination(net), evidence, conjunction, method)
 
 
-def _posterior(net, evidence, conjunction, method, cache):
-    """:func:`posterior`, with elimination passes reusing ``cache``, an
-    :class:`_Elimination` for ``net``."""
+def _posterior(cache, evidence, conjunction, method):
+    """:func:`posterior` in ``cache.net``, with elimination passes reusing
+    ``cache``, an :class:`_Elimination`."""
+    net = cache.net
     fixed = _normalize_assignment(net, evidence, findings_only=True)
-    diseases = tuple(n.id for n in net.nodes_of_kind(NodeKind.DISEASE))
-    total, masses = _query(net, fixed, diseases, method, cache)
+    total, masses = _query(cache, fixed, cache.diseases, method)
     if total <= 0.0:
         raise EvidenceError("evidence has zero probability under this network")
-    posteriors = {d: _clamp01(masses[d] / total) for d in diseases}
+    posteriors = {d: _clamp01(masses[d] / total) for d in cache.diseases}
     conj_value = None
     if conjunction is not None:
         conj = sorted(set(conjunction))
@@ -365,7 +366,7 @@ def _posterior(net, evidence, conjunction, method, cache):
             if nid in fixed and not fixed[nid]:
                 raise DomainError(f"conjunction node {nid!r} is observed absent")
         conj_fixed = {**fixed, **dict.fromkeys(conj, True)}
-        conj_total, _ = _query(net, conj_fixed, (), method, cache)
+        conj_total, _ = _query(cache, conj_fixed, (), method)
         conj_value = _clamp01(conj_total / total)
     return PosteriorResult(posteriors, total, conj_value)
 

@@ -192,10 +192,10 @@ class Network:
     def compiled(self) -> "CompiledNetwork":
         """The network's noisy-OR semantics as flat rows, built once.
 
-        Only valid networks compile: callers check :meth:`require_valid`
-        first. Raises ValidationError if the edge relation has a cycle.
+        Only valid networks compile: this runs :meth:`require_valid` first,
+        so it raises its ValidationError on an invalid network.
         """
-        order = self.topological_order()
+        order = self.require_valid().topological_order()
         index = {nid: i for i, nid in enumerate(order)}
         rows = []
         for nid in order:

@@ -51,9 +51,10 @@ def eliminate_ips(net: Network, b: str) -> Network:
 
     For every predecessor P (edge eta p) and successor S (edge eta q) a
     composed edge P->S with eta p*q is added, OR-merged into any existing
-    P->S edge. Each successor's leak absorbs the eliminated node's leak
-    exactly once. Nodes with no predecessors or no successors are simply
-    removed (leak absorption still applies to any successors).
+    P->S edge; a new edge whose p*q underflows to 0 is left out, since
+    its factor is exactly 1. Each successor's leak absorbs the eliminated
+    node's leak exactly once. Nodes with no predecessors or no successors
+    are simply removed (leak absorption still applies to any successors).
     """
     node = net.node(b)
     if node.kind is not NodeKind.IPS:
@@ -98,6 +99,10 @@ class _Rewiring:
                 if (pid, sid) in self.edges:
                     eta, merged_paths = self.edges[(pid, sid)]
                     composed, paths = merge_parallel([eta, composed]), merged_paths + paths
+                elif composed == 0.0:
+                    # p * q underflowed: the edge's factor 1 - 0 is exactly
+                    # 1.0, so leaving it out is exact, and eta 0 is invalid
+                    continue
                 self.edges[(pid, sid)] = (composed, paths)
                 self.parents[sid].add(pid)
                 self.children[pid].add(sid)

@@ -16,7 +16,6 @@ def sample_world(net: Network, seed: int) -> dict[str, bool]:
     """Draw one complete world: diseases from their priors, every other
     node from its leaky noisy-OR given the already-sampled parents. The
     world is a new dict of every node id to its state."""
-    net.require_valid()
     compiled = net.compiled
     next_float = SplitMix64(seed).next_float
     states = [False] * len(compiled.rows)

@@ -140,6 +140,14 @@ class TestRatioR1:
         cfg = StarConfig(p=p, q=(q,))
         assert fan_in_ratio(cfg) == pytest.approx(1.0, rel=1e-15)
 
+    def test_small_q_keeps_the_digits_of_a_subnormal_numerator(self):
+        # the layered term q (1 - rho_i) p is about 4.5e-313, subnormal,
+        # while the denominator is normal; cancelling q first keeps every
+        # digit, so the leak-free ratio is exactly 1 - rho_i
+        rho_i = 1.0 - 2.0**-40
+        cfg = StarConfig(p=(0.5,), q=(1e-300,), rho_i=rho_i)
+        assert fan_in_ratio(cfg) == 1.0 - rho_i == 9.094947017729282e-13
+
     def test_symmetric_in_disease_order(self):
         rng = SplitMix64(43)
         for _ in range(50):

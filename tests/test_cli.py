@@ -135,6 +135,26 @@ class TestReduceCommand:
         reduced = parse_network(out.read_text())
         assert len(reduced.edges) == 6
 
+    def test_underflowed_edge_gives_a_valid_file(self, tmp_path, capsys):
+        # both etas are valid, but their product underflows to 0.0
+        path = tmp_path / "tiny.net"
+        path.write_text(
+            "nornet 1 tiny\n"
+            "node d disease leak=0 prior=0.3\n"
+            "node i ips leak=0\n"
+            "node f finding leak=0.1 phase=1\n"
+            "edge d i eta=1e-200\n"
+            "edge i f eta=1e-200\n"
+        )
+        out = tmp_path / "red.net"
+        assert main(["reduce", str(path), "-o", str(out)]) == 0
+        assert "edge" not in out.read_text()
+        assert main(["validate", str(out)]) == 0
+        report = tmp_path / "report.csv"
+        argv = ["experiment", str(path), "--cases", "3", "--seed", "1", "-o", str(report)]
+        assert main(argv) == 0
+        assert "error:" not in capsys.readouterr().err
+
     def test_files_are_utf8_whatever_the_locale(self, tmp_path):
         path = tmp_path / "fievre.net"
         path.write_bytes(MINIMAL.replace("d1", "fièvre").encode("utf-8"))

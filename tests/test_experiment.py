@@ -10,9 +10,10 @@ from pathlib import Path
 import pytest
 
 import oracle
-from conftest import chain_net, random_unit_fan_net
+from conftest import chain_net, criterion_8_net, random_unit_fan_net
 import nornet
 from nornet import inference
+from nornet.experiment import _eval_case
 from nornet import (
     DomainError,
     Edge,
@@ -26,6 +27,7 @@ from nornet import (
     generate_cases,
     generate_network,
     ips,
+    level_reduce,
     posterior,
     report_csv,
     run_experiment,
@@ -303,6 +305,23 @@ class TestRunExperiment:
         # at most one ordering per network, phase and pass (evidence, then
         # each of the two diseases fixed present)
         assert 0 < counts[0]["orders"] <= 2 * 5 * 3
+
+    def test_case_core_takes_any_tuple_of_engines(self):
+        # a third network rides along without a second run_experiment: the
+        # full and reduced networks share every id, so an engine answering
+        # for the wrong one would give the full network's 0.187 for d002
+        full = criterion_8_net((3, 4))
+        reduced = level_reduce(full).reduced
+        case = generate_cases(full, 1, seed=7)[0]
+        evidence = [case.cumulative_evidence(phase) for phase in range(1, 6)]
+        engines = tuple(inference._Elimination(n) for n in (full, reduced, full))
+        rows = _eval_case(evidence, engines)
+        assert len(rows) == 5
+        for ev, (first, second, third) in zip(evidence, rows):
+            assert third == first == posterior(full, ev, method="elimination").posteriors
+            assert second == posterior(reduced, ev, method="elimination").posteriors
+        assert rows[4][0]["d002"] == pytest.approx(0.1872, abs=1e-4)
+        assert rows[4][1]["d002"] == pytest.approx(0.5139, abs=1e-4)
 
     def test_spawned_workers_give_the_serial_report(self):
         # spawn, the default start method on macOS and Windows, pickles the

@@ -13,6 +13,7 @@ from nornet import (
     Network,
     NodeKind,
     SplitMix64,
+    ValidationError,
     disease,
     event_prob,
     finding,
@@ -155,6 +156,22 @@ class TestPosterior:
         )
         with pytest.raises(EvidenceError):
             posterior(net, {"f": True})
+
+    def test_evidence_errors_come_before_validity(self):
+        # evidence ids are checked before the network: an unknown id or a
+        # non-finding is a DomainError even on a cyclic network
+        cyclic = Network(
+            "cyc",
+            [disease("d", 0.1), ips("b1"), ips("b2"), finding("f", 0.0, 1)],
+            [Edge("d", "b1", 0.5), Edge("b1", "b2", 0.5), Edge("b2", "b1", 0.5),
+             Edge("b2", "f", 0.5)],
+        )
+        with pytest.raises(DomainError, match="unknown node 'ghost'"):
+            posterior(cyclic, {"f": True, "ghost": True})
+        with pytest.raises(DomainError, match="'d' is not a finding"):
+            posterior(cyclic, {"d": True})
+        with pytest.raises(ValidationError, match="dag"):
+            posterior(cyclic, {"f": True})
 
     def test_positive_descendant_never_decreases_single_parent_posterior(self):
         rng = SplitMix64(29)
@@ -312,7 +329,7 @@ class TestEngineAgreement:
         # order serves the other
         net = criterion_8_net(fan)
         case = generate_cases(net, 1, seed=7)[0]
-        shared = inference._Elimination()
+        shared = inference._Elimination(net)
         for phase in range(1, 6):
             evidence = case.cumulative_evidence(phase)
             reverse = dict(reversed(evidence.items()))
@@ -322,7 +339,7 @@ class TestEngineAgreement:
             for method, expected in results.items():
                 assert posterior(net, reverse, method=method) == expected
             for ev in (evidence, reverse):
-                result = inference._posterior(net, ev, None, "elimination", shared)
+                result = inference._posterior(shared, ev, None, "elimination")
                 assert result == results["elimination"]
 
     @pytest.mark.parametrize("n", [13, 20, 21])
@@ -469,12 +486,12 @@ class TestEliminationReuse:
     def test_shared_cache_equals_fresh_calls(self):
         rng = random.Random(2026)
         for net in self._networks():
-            cache = inference._Elimination()
+            cache = inference._Elimination(net)
             diseases = [n.id for n in net.nodes_of_kind(NodeKind.DISEASE)]
             for k, evidence in enumerate(self._queries(net, rng)):
                 conj = diseases[:2] if k % 2 else None
                 shared = self._answer(
-                    lambda: inference._posterior(net, evidence, conj, "elimination", cache)
+                    lambda: inference._posterior(cache, evidence, conj, "elimination")
                 )
                 fresh = self._answer(
                     lambda: posterior(net, evidence, conjunction=conj, method="elimination")
@@ -513,22 +530,22 @@ class TestEliminationReuse:
         net, evidence = self._phase_evidence()
         fresh = posterior(net, evidence, method="elimination")
         calls = self._count_kernel_calls(monkeypatch)
-        cache = inference._Elimination()
-        first = inference._posterior(net, evidence, None, "elimination", cache)
+        cache = inference._Elimination(net)
+        first = inference._posterior(cache, evidence, None, "elimination")
         assert calls
         calls.clear()
-        again = inference._posterior(net, dict(evidence), None, "elimination", cache)
+        again = inference._posterior(cache, dict(evidence), None, "elimination")
         assert calls == []
         assert again == first == fresh
 
     def test_reversed_evidence_hits_the_same_entry(self, monkeypatch):
         net, evidence = self._phase_evidence()
-        cache = inference._Elimination()
-        first = inference._posterior(net, evidence, None, "elimination", cache)
+        cache = inference._Elimination(net)
+        first = inference._posterior(cache, evidence, None, "elimination")
         reverse = dict(reversed(evidence.items()))
         assert list(reverse) != list(evidence)
         calls = self._count_kernel_calls(monkeypatch)
-        assert inference._posterior(net, reverse, None, "elimination", cache) == first
+        assert inference._posterior(cache, reverse, None, "elimination") == first
         assert calls == []
         ((_, _, answers),) = cache.shapes.values()
         assert len(answers) == 1
@@ -545,15 +562,15 @@ class TestEliminationReuse:
                 return work(*args)
 
             monkeypatch.setattr(inference, name, counted)
-        cache = inference._Elimination()
-        inference._posterior(net, evidence, None, "elimination", cache)
+        cache = inference._Elimination(net)
+        inference._posterior(cache, evidence, None, "elimination")
         ((_, plans, _),) = cache.shapes.values()
         steps = sum(len(plan_steps) for _, plan_steps, _ in plans.values())
         # the 1 + |diseases| plans of one id set repeat steps, which share maps
         assert 0 < calls.count("sum_product_maps") < steps
         calls.clear()
         other = {fid: not value for fid, value in evidence.items()}
-        inference._posterior(net, other, None, "elimination", cache)
+        inference._posterior(cache, other, None, "elimination")
         assert calls == []
 
     def test_conjunction_over_every_disease_gets_its_own_answer(self):
@@ -562,8 +579,8 @@ class TestEliminationReuse:
         # answer; a fresh call shares it too, so check against enumeration
         net = self._pitfall_net()
         evidence = {"f1": True, "f2": False}
-        cache = inference._Elimination()
-        shared = inference._posterior(net, evidence, ["d1", "d2"], "elimination", cache)
+        cache = inference._Elimination(net)
+        shared = inference._posterior(cache, evidence, ["d1", "d2"], "elimination")
         enum = posterior(net, evidence, conjunction=["d1", "d2"], method="enumeration")
         assert shared.conjunction == pytest.approx(enum.conjunction, abs=1e-12)
         assert shared.conjunction < 1.0
@@ -581,9 +598,9 @@ class TestEliminationReuse:
             return prune(net, needed)
 
         monkeypatch.setattr(inference, "_prune_barren", counted)
-        cache = inference._Elimination()
+        cache = inference._Elimination(net)
         for case in cases:
             for phase in range(1, 6):
                 evidence = case.cumulative_evidence(phase)
-                inference._posterior(net, evidence, None, "elimination", cache)
+                inference._posterior(cache, evidence, None, "elimination")
         assert len(walks) == len(set(walks)) == 5

@@ -133,6 +133,15 @@ class TestValidate:
             net.require_valid()
         assert err.value.violations[0].code == "level-ordering"
 
+    def test_only_valid_networks_compile(self):
+        # an acyclic network with a prior out of range has a topological
+        # order, but no noisy-OR semantics to compile
+        bad = Network("bad", [disease("d", 2.0), finding("f", 0.0, 1)], [Edge("d", "f", 0.5)])
+        assert bad.topological_order() == ("d", "f")
+        with pytest.raises(ValidationError, match="prior-range"):
+            bad.compiled
+        assert "compiled" not in vars(bad)
+
 
 def _star(leak, etas):
     """Diseases d0, d1, ... each feeding finding f with the given etas."""

@@ -101,6 +101,21 @@ class TestEliminateIps:
         out = eliminate_ips(net, "b")
         assert out.edge("a", "c").eta == pytest.approx(1 - 0.7 * 0.8)
 
+    def test_underflowed_composed_edge_is_left_out(self):
+        # 1e-200 * 1e-200 is 0.0: an eta-0 edge would be invalid, and its
+        # factor 1 - 0 multiplies by exactly 1.0, so it is not added
+        net = Network(
+            "tiny",
+            [disease("d", 0.3), ips("i"), finding("f", 0.1, 1)],
+            [Edge("d", "i", 1e-200), Edge("i", "f", 1e-200)],
+        )
+        report = level_reduce(net)
+        assert report.reduced.edges == ()
+        assert report.provenance == ()
+        assert report.reduced.violations() == ()
+        assert eliminate_ips(net, "i") == report.reduced
+        assert posterior(report.reduced, {"f": True}) == posterior(net, {"f": True})
+
     def test_non_ips_rejected(self):
         net = chain_net()
         with pytest.raises(DomainError):
