@@ -18,10 +18,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from collections.abc import Iterable, Mapping
+from collections.abc import Mapping
 
 from .errors import DomainError
-from .model import Edge, Network, NodeKind, check_prob, disease, finding, ips
+from .model import Edge, Network, NodeKind, check_prob, disease, finding, ips, one_minus_prod
 from .reduction import ReductionReport
 
 
@@ -210,10 +210,10 @@ def fan_in_ratio(cfg: StarConfig) -> float:
     if q == 0.0 or not any(cfg.p) or rho_f == 1.0:
         raise DomainError("collapsed-network likelihood is zero for this star")
     none_on = math.prod(1.0 - pk for pk in cfg.p)
-    layered = q * (1.0 - cfg.rho_i) * _one_minus_prod(cfg.p) + rho_f * none_on
-    collapsed = _one_minus_prod([pk * q for pk in cfg.p]) * (1.0 - rho_f)
+    layered = q * (1.0 - cfg.rho_i) * one_minus_prod(cfg.p) + rho_f * none_on
+    collapsed = one_minus_prod([pk * q for pk in cfg.p]) * (1.0 - rho_f)
     if max(cfg.p) * q < 2.0**-969:
-        layered = (1.0 - cfg.rho_i) * _one_minus_prod(cfg.p) + rho_f * none_on / q
+        layered = (1.0 - cfg.rho_i) * one_minus_prod(cfg.p) + rho_f * none_on / q
         collapsed = sum(cfg.p) * (1.0 - rho_f)
     ratio = layered / collapsed if collapsed else math.inf
     if ratio == math.inf:
@@ -250,11 +250,3 @@ def fan_out_ratio(cfg: StarConfig) -> tuple[float, float]:
     if exact == math.inf:
         raise DomainError("fan-out ratio overflows a double")
     return exact, approx
-
-
-def _one_minus_prod(xs: Iterable[float]) -> float:
-    """1 - prod(1 - x) as -expm1(sum(log1p(-x))), which keeps the digits
-    that the plain form cancels away when every x is small. The leading
-    ``0.0 -`` keeps an all-zero result positive."""
-    logs = sum(math.log1p(-x) if x < 1.0 else -math.inf for x in xs)
-    return 0.0 - math.expm1(logs)

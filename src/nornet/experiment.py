@@ -161,7 +161,6 @@ def run_experiment(
     """
     if jobs < 1:
         raise DomainError(f"jobs must be at least 1, got {jobs}")
-    full.require_valid()
     report = level_reduce(full)
     reduced = report.reduced
     cases = generate_cases(full, n_cases, seed)

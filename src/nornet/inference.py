@@ -68,7 +68,7 @@ class PosteriorResult:
 
 def joint_prob(net: Network, full_assignment: Mapping) -> float:
     """Probability of one complete world (every node assigned)."""
-    net.require_valid()
+    compiled = net.compiled
     missing = [nid for nid in net.node_ids if nid not in full_assignment]
     if missing:
         raise IncompleteAssignmentError(
@@ -76,7 +76,6 @@ def joint_prob(net: Network, full_assignment: Mapping) -> float:
         )
     for nid in full_assignment:
         net.node(nid)
-    compiled = net.compiled
     state = [full_assignment[nid] for nid in compiled.order]
     prob = 1.0
     for row, value in zip(compiled.rows, state):
@@ -100,7 +99,7 @@ def _normalize_assignment(
 def _prune_barren(net: Network, needed: set[str]) -> tuple[str, ...]:
     """Kept node ids in topological order: a node survives iff it is needed
     or some child of it survives."""
-    order = net.topological_order()
+    order = net.compiled.order
     kept: set[str] = set()
     for nid in reversed(order):
         if nid in needed or not kept.isdisjoint(net.children_of(nid)):
@@ -291,10 +290,11 @@ def _query(cache, fixed, track, method):
     ``cache``, an :class:`_Elimination`; an elimination answer it already
     holds is returned as stored."""
     net = cache.net
-    net.require_valid()
     needed = frozenset(fixed).union(track)
     shape = cache.shapes.get(needed)
     if shape is None:
+        # pruning reads net.compiled, the validity gate; a stored shape means
+        # an earlier query on this immutable network passed it
         shape = cache.shapes[needed] = _prune_barren(net, needed), {}, {}
     kept, plans, answers = shape
     unobserved = len(kept) - len(fixed)

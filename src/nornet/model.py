@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import enum
 import heapq
+import math
 import re
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
@@ -98,7 +99,8 @@ class Network:
     The constructor rejects structures it cannot even index (duplicate
     ids, duplicate edges, edges naming unknown nodes). Everything else —
     ranges, level ordering, acyclicity — is reported by :func:`validate`
-    rather than raised, so invalid networks can be inspected.
+    rather than raised, so invalid networks can be inspected; the
+    evaluators refuse them through :attr:`compiled`, which they all read.
     """
 
     def __init__(self, name: str, nodes: Iterable[Node], edges: Iterable[Edge]):
@@ -192,10 +194,11 @@ class Network:
     def compiled(self) -> "CompiledNetwork":
         """The network's noisy-OR semantics as flat rows, built once.
 
+        It is the evaluators' one validity gate and one topological order.
         Only valid networks compile: this runs :meth:`require_valid` first,
         so it raises its ValidationError on an invalid network.
         """
-        order = self.require_valid().topological_order()
+        order = self.require_valid()._topo
         index = {nid: i for i, nid in enumerate(order)}
         rows = []
         for nid in order:
@@ -351,3 +354,10 @@ def check_prob(name: str, value: float) -> None:
     if not 0.0 <= value <= 1.0:
         raise DomainError(f"{name} {value} outside [0, 1]")
 
+
+def one_minus_prod(xs: Iterable[float]) -> float:
+    """1 - prod(1 - x) as -expm1(sum(log1p(-x))), which keeps the digits
+    that the plain form cancels away when every x is small. The leading
+    ``0.0 -`` keeps an all-zero result positive."""
+    logs = sum(math.log1p(-x) if x < 1.0 else -math.inf for x in xs)
+    return 0.0 - math.expm1(logs)

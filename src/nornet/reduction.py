@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from .errors import DomainError
-from .model import Edge, Network, NodeKind, check_prob
+from .model import Edge, Network, NodeKind, check_prob, one_minus_prod
 
 
 def compose_serial(p: float, q: float) -> float:
@@ -26,24 +26,26 @@ def compose_serial(p: float, q: float) -> float:
 
 
 def merge_parallel(composed: list[float]) -> float:
-    """OR-combination of already-composed parallel path probabilities."""
+    """OR-combination of already-composed parallel path probabilities.
+    Where the plain 1 - prod(1 - x) cancels to 0.0, :func:`one_minus_prod`
+    keeps the tiny sum, so positive paths never merge to eta 0."""
     if not composed:
         raise DomainError("merge_parallel needs at least one path probability")
     acc = 1.0
     for value in composed:
         check_prob("path probability", value)
         acc *= 1.0 - value
-    return 1.0 - acc
+    return 1.0 - acc if acc != 1.0 else one_minus_prod(composed)
 
 
 def absorb_leak(rho_b: float, q: float, rho_c: float) -> float:
     """Fold an eliminated node's leak through its outgoing edge into the
     successor's leak: the upstream leak first attenuates by q, then
-    OR-combines with the successor's own leak."""
+    OR-combines with the successor's own leak, as :func:`merge_parallel`."""
     check_prob("rho_b", rho_b)
     check_prob("q", q)
     check_prob("rho_c", rho_c)
-    return 1.0 - (1.0 - rho_b * q) * (1.0 - rho_c)
+    return merge_parallel([rho_b * q, rho_c])
 
 
 def eliminate_ips(net: Network, b: str) -> Network:
@@ -153,11 +155,7 @@ def level_reduce(net: Network) -> ReductionReport:
     priors, and phases of the input untouched; only finding leaks change,
     through leak absorption.
     """
-    net.require_valid()
-    ips_order = [
-        nid for nid in net.topological_order()
-        if net.node(nid).kind is NodeKind.IPS
-    ]
+    ips_order = [nid for nid in net.compiled.order if net.node(nid).kind is NodeKind.IPS]
     state = _Rewiring(net)
     for b in ips_order:
         state.eliminate(b)

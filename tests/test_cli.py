@@ -155,6 +155,30 @@ class TestReduceCommand:
         assert main(argv) == 0
         assert "error:" not in capsys.readouterr().err
 
+    def test_merged_tiny_etas_give_a_valid_file(self, tmp_path, capsys):
+        # the composed 1e-20 merges into the direct 1e-20 edge, where the
+        # plain OR-combination cancels to the invalid eta 0
+        path = tmp_path / "tiny.net"
+        path.write_text(
+            "nornet 1 tiny\n"
+            "node d disease leak=0 prior=0.3\n"
+            "node i ips leak=0\n"
+            "node f finding leak=0.1 phase=1\n"
+            "edge d f eta=1e-20\n"
+            "edge d i eta=1e-20\n"
+            "edge i f eta=1\n"
+        )
+        out = tmp_path / "red.net"
+        assert main(["reduce", str(path), "-o", str(out)]) == 0
+        assert parse_network(out.read_text()).edge("d", "f").eta == 2e-20
+        capsys.readouterr()
+        assert main(["validate", str(out)]) == 0
+        assert capsys.readouterr().out.strip() == "ok"
+        report = tmp_path / "report.csv"
+        argv = ["experiment", str(path), "--cases", "3", "--seed", "1", "-o", str(report)]
+        assert main(argv) == 0
+        assert "error:" not in capsys.readouterr().err
+
     def test_files_are_utf8_whatever_the_locale(self, tmp_path):
         path = tmp_path / "fievre.net"
         path.write_bytes(MINIMAL.replace("d1", "fièvre").encode("utf-8"))

@@ -7,8 +7,16 @@ from nornet import (
     SplitMix64,
     ValidationError,
     disease,
+    event_prob,
     finding,
+    generate_cases,
     ips,
+    joint_prob,
+    level_reduce,
+    marginal,
+    posterior,
+    run_experiment,
+    sample_world,
     validate,
 )
 from nornet.model import row_prob
@@ -143,6 +151,47 @@ class TestValidate:
         assert "compiled" not in vars(bad)
 
 
+# one acyclic network with a prior out of range and one cyclic network, by
+# the violation code each reports
+INVALID = {
+    "prior-range": lambda: Network(
+        "bad",
+        [disease("d", 2.0), ips("b"), finding("f", 0.0, 1)],
+        [Edge("d", "b", 0.5), Edge("b", "f", 0.5)],
+    ),
+    "dag": lambda: Network(
+        "cyc",
+        [disease("d", 0.1), ips("b1"), ips("b2"), finding("f", 0.0, 1)],
+        [Edge("d", "b1", 0.5), Edge("b1", "b2", 0.5), Edge("b2", "b1", 0.5),
+         Edge("b2", "f", 0.5)],
+    ),
+}
+
+EVALUATORS = {
+    "posterior": lambda net: posterior(net, {"f": True}),
+    "event_prob": lambda net: event_prob(net, {"f": True}),
+    "marginal": lambda net: marginal(net, "f"),
+    "joint_prob": lambda net: joint_prob(net, dict.fromkeys(net.node_ids, False)),
+    "level_reduce": level_reduce,
+    "run_experiment": lambda net: run_experiment(net, 2, seed=1),
+    "generate_cases": lambda net: generate_cases(net, 2, seed=1),
+    "sample_world": lambda net: sample_world(net, 1),
+}
+
+
+@pytest.mark.parametrize("invalid", INVALID)
+@pytest.mark.parametrize("evaluator", EVALUATORS)
+def test_every_evaluator_raises_the_validity_error(evaluator, invalid):
+    net = INVALID[invalid]()
+    with pytest.raises(ValidationError) as expected:
+        net.require_valid()
+    assert invalid in str(expected.value)
+    with pytest.raises(ValidationError) as got:
+        EVALUATORS[evaluator](net)
+    assert str(got.value) == str(expected.value)
+    assert got.value.violations == expected.value.violations
+
+
 def _star(leak, etas):
     """Diseases d0, d1, ... each feeding finding f with the given etas."""
     return Network(
@@ -255,6 +304,7 @@ class TestTopologicalOrder:
             [Edge("d1", "f", 0.5), Edge("d2", "f", 0.5)],
         )
         assert net.topological_order() == ("d1", "d2", "f")
+        assert net.compiled.order == ("d1", "d2", "f")
 
     def test_cycle_raises(self):
         net = Network(
@@ -265,3 +315,5 @@ class TestTopologicalOrder:
         )
         with pytest.raises(ValidationError):
             net.topological_order()
+        with pytest.raises(ValidationError, match="dag"):
+            net.compiled

@@ -1,7 +1,11 @@
 import functools
 import hashlib
+import math
+from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracle
 from conftest import chain_net, diamond_net, fork_net, random_unit_fan_net
@@ -62,6 +66,10 @@ class TestPrimitives:
         with pytest.raises(DomainError):
             merge_parallel([])
 
+    def test_tiny_etas_merge_to_their_sum(self):
+        # 1 - (1 - 1e-20)**2 cancels to 0.0 in the plain form
+        assert absorb_leak(1e-20, 1.0, 1e-20) == merge_parallel([1e-20, 1e-20]) == 2e-20
+
     def test_absorb_leak(self):
         assert absorb_leak(0.1, 0.5, 0.2) == pytest.approx(0.24)
         assert absorb_leak(0.0, 0.5, 0.2) == pytest.approx(0.2)
@@ -115,6 +123,19 @@ class TestEliminateIps:
         assert report.reduced.violations() == ()
         assert eliminate_ips(net, "i") == report.reduced
         assert posterior(report.reduced, {"f": True}) == posterior(net, {"f": True})
+
+    def test_merged_tiny_etas_stay_a_valid_edge(self):
+        # the composed 1e-20 merges into the direct 1e-20 edge; the plain
+        # OR-combination would give the invalid eta 0.0
+        net = Network(
+            "tiny",
+            [disease("d", 0.3), ips("i"), finding("f", 0.1, 1)],
+            [Edge("d", "f", 1e-20), Edge("d", "i", 1e-20), Edge("i", "f", 1.0)],
+        )
+        reduced = level_reduce(net).reduced
+        assert reduced.edges == (Edge("d", "f", 2e-20),)
+        assert reduced.violations() == ()
+        assert eliminate_ips(net, "i") == reduced
 
     def test_non_ips_rejected(self):
         net = chain_net()
@@ -356,3 +377,41 @@ class TestExactnessProperties:
             )
             assert lik_red < lik_full
             assert lik_red / lik_full == pytest.approx(p ** (n - 1), rel=1e-10)
+
+
+# Seeded and derandomized, so every run checks the same examples.
+PROPERTY = settings(database=None, derandomize=True, max_examples=200, deadline=None)
+TINY = [0.0, 5e-324, 1e-300, 1e-200, 1e-20, 1e-17, 2.0**-53]
+probabilities = st.sampled_from(TINY + [0.5, 1.0]) | st.floats(0.0, 1.0)
+
+
+@PROPERTY
+@given(st.lists(probabilities, min_size=1, max_size=6))
+def test_merge_parallel_is_the_plain_form_unless_it_cancels(xs):
+    plain = 1.0 - math.prod(1.0 - x for x in xs)
+    merged = merge_parallel(xs)
+    if plain != 0.0:
+        assert merged == plain
+    if any(xs):
+        assert merged > 0.0
+
+
+@PROPERTY
+@given(
+    seed=st.integers(0, 2**16),
+    etas=st.lists(st.sampled_from(TINY[1:] + [1.0]), min_size=1, max_size=8),
+    leaks=st.lists(st.sampled_from(TINY + [1.0]), min_size=1, max_size=8),
+)
+def test_reduction_with_degenerate_parameters_validates(seed, etas, leaks):
+    net = generate_network(
+        GeneratorConfig(2, 4, 5, fan_in_range=(1, 3), fan_out_range=(1, 3),
+                        ips_chain_prob=0.5, seed=seed)
+    )
+    nodes = [
+        n if n.kind is NodeKind.DISEASE else replace(n, leak=leaks[k % len(leaks)])
+        for k, n in enumerate(net.nodes)
+    ]
+    edges = [Edge(e.src, e.dst, etas[k % len(etas)]) for k, e in enumerate(net.edges)]
+    degenerate = Network(net.name, nodes, edges)
+    assert degenerate.violations() == ()
+    assert level_reduce(degenerate).reduced.violations() == ()
