@@ -199,7 +199,9 @@ def fan_in_ratio(cfg: StarConfig) -> float:
     to double precision, so q is cancelled from both terms before they
     can turn subnormal and lose their digits. That covers every star whose
     denominator falls below the smallest normal double, since 1 - rho_f is
-    at least 2**-53 there.
+    at least 2**-53 there. Both terms are then also multiplied by the
+    exact power of two that brings max(p) up to at least 2**-61, so that
+    (1 - rho_i)(1 - prod(1 - p_k)) cannot turn subnormal either.
 
     Raises DomainError when the denominator is zero (q or every p_k is 0,
     or rho_f is 1) or when the ratio overflows a double.
@@ -213,8 +215,14 @@ def fan_in_ratio(cfg: StarConfig) -> float:
     layered = q * (1.0 - cfg.rho_i) * one_minus_prod(cfg.p) + rho_f * none_on
     collapsed = one_minus_prod([pk * q for pk in cfg.p]) * (1.0 - rho_f)
     if max(cfg.p) * q < 2.0**-969:
-        layered = (1.0 - cfg.rho_i) * one_minus_prod(cfg.p) + rho_f * none_on / q
-        collapsed = sum(cfg.p) * (1.0 - rho_f)
+        k = max(0, -60 - math.frexp(max(cfg.p))[1])
+        p = [math.ldexp(pk, k) for pk in cfg.p]
+        try:
+            leaked = math.ldexp(rho_f * none_on / q, k)
+        except OverflowError:
+            leaked = math.inf
+        layered = (1.0 - cfg.rho_i) * one_minus_prod(p) + leaked
+        collapsed = sum(p) * (1.0 - rho_f)
     ratio = layered / collapsed if collapsed else math.inf
     if ratio == math.inf:
         raise DomainError("fan-in ratio overflows a double")

@@ -53,16 +53,20 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("net_file")
     p.set_defaults(func=_cmd_validate)
 
-    p = sub.add_parser("gen", help="generate a synthetic network")
-    p.add_argument("--diseases", type=int, required=True)
-    p.add_argument("--ips", type=int, required=True)
-    p.add_argument("--findings", type=int, required=True)
-    p.add_argument("--fan-in", type=_int_range, default=(1, 2), metavar="a..b")
-    p.add_argument("--fan-out", type=_int_range, default=(1, 2), metavar="a..b")
-    p.add_argument("--eta", type=_float_range, default=(0.2, 0.9), metavar="lo..hi")
-    p.add_argument("--leak", type=_float_range, default=(0.0, 0.05), metavar="lo..hi")
-    p.add_argument("--prior", type=_float_range, default=(0.05, 0.5), metavar="lo..hi")
-    p.add_argument("--ips-chain", type=float, default=0.0, metavar="p")
+    # each option's dest is a GeneratorConfig field and carries no default:
+    # an option left out takes the config's own default
+    p = sub.add_parser(
+        "gen", help="generate a synthetic network", argument_default=argparse.SUPPRESS
+    )
+    p.add_argument("--diseases", dest="n_diseases", type=int, required=True, metavar="DISEASES")
+    p.add_argument("--ips", dest="n_ips", type=int, required=True, metavar="IPS")
+    p.add_argument("--findings", dest="n_findings", type=int, required=True, metavar="FINDINGS")
+    p.add_argument("--fan-in", dest="fan_in_range", type=_int_range, metavar="a..b")
+    p.add_argument("--fan-out", dest="fan_out_range", type=_int_range, metavar="a..b")
+    p.add_argument("--eta", dest="eta_range", type=_float_range, metavar="lo..hi")
+    p.add_argument("--leak", dest="leak_range", type=_float_range, metavar="lo..hi")
+    p.add_argument("--prior", dest="prior_range", type=_float_range, metavar="lo..hi")
+    p.add_argument("--ips-chain", dest="ips_chain_prob", type=float, metavar="p")
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(func=_cmd_gen)
@@ -114,18 +118,8 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_gen(args) -> int:
-    cfg = GeneratorConfig(
-        n_diseases=args.diseases,
-        n_ips=args.ips,
-        n_findings=args.findings,
-        fan_in_range=args.fan_in,
-        fan_out_range=args.fan_out,
-        ips_chain_prob=args.ips_chain,
-        eta_range=args.eta,
-        leak_range=args.leak,
-        prior_range=args.prior,
-        seed=args.seed,
-    )
+    fields = {k: v for k, v in vars(args).items() if k not in ("func", "output")}
+    cfg = GeneratorConfig(**fields)
     net = generate_network(cfg)
     _write(args.output, serialize_network(net))
     print(f"wrote {args.output} ({len(net.nodes)} nodes, {len(net.edges)} edges)")

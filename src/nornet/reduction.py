@@ -150,10 +150,10 @@ def level_reduce(net: Network) -> ReductionReport:
 
     Intermediates are processed in topological order with ascending-id tie
     break; the order is frozen because parallel-path merging is
-    approximate, so different orders can give (slightly) different
-    networks. The reduced network keeps the disease and finding nodes,
-    priors, and phases of the input untouched; only finding leaks change,
-    through leak absorption.
+    approximate, so different orders can give different networks. The
+    reduced network keeps the disease and finding nodes, priors, and
+    phases of the input untouched; only finding leaks change, through
+    leak absorption.
     """
     ips_order = [nid for nid in net.compiled.order if net.node(nid).kind is NodeKind.IPS]
     state = _Rewiring(net)

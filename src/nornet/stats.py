@@ -3,15 +3,14 @@
 Significance is the two-sided tail probability of Student's t, computed
 in-process as a regularized incomplete beta (Lentz's continued fraction)
 for df up to 10**8. Past that the ``lgamma`` difference in the beta's
-front factor loses its digits, and the tail is the normal limit from the
-standard library's ``statistics.NormalDist``.
+front factor loses its digits, and the tail is the normal limit, computed
+as one ``math.erfc`` so that it keeps its digits far into the tail.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from statistics import NormalDist
 
 from .errors import DegenerateVarianceError, DomainError
 
@@ -82,7 +81,7 @@ def two_sided_p(t: float, df: int) -> float:
     if t == 0.0:
         return 1.0
     if df > _NORMAL_APPROX_DF:
-        return 2.0 * NormalDist().cdf(-t)
+        return math.erfc(t / math.sqrt(2.0))
     x = df / (df + t * t)
     return _reg_incomplete_beta(df / 2.0, 0.5, x)
 

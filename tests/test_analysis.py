@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from conftest import chain_net, fork_net
@@ -147,6 +149,21 @@ class TestRatioR1:
         rho_i = 1.0 - 2.0**-40
         cfg = StarConfig(p=(0.5,), q=(1e-300,), rho_i=rho_i)
         assert fan_in_ratio(cfg) == 1.0 - rho_i == 9.094947017729282e-13
+
+    @pytest.mark.parametrize(
+        "p,q,rho_i,expected",
+        [
+            # (1 - rho_i) p is subnormal; the unscaled form gave 4.699999752948307e-10
+            (3.7e-308, 0.5, 1.0 - 4.7e-10, 4.700000388879744e-10),
+            # (1 - rho_i) p underflows to 0.0, which the unscaled form returned
+            (1.1254e-319, 1.7e-135, 1.0 - 1.02e-7, 1.0200000000182285e-07),
+        ],
+    )
+    def test_tiny_p_keeps_the_digits_of_a_subnormal_numerator(self, p, q, rho_i, expected):
+        # leak-free with one disease, the exact ratio is 1 - rho_i
+        ratio = fan_in_ratio(StarConfig(p=(p,), q=(q,), rho_i=rho_i))
+        assert ratio == expected
+        assert abs(Fraction(ratio) / (1 - Fraction(rho_i)) - 1) < 1e-15
 
     def test_symmetric_in_disease_order(self):
         rng = SplitMix64(43)

@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import os
 import subprocess
 import sys
@@ -8,7 +9,7 @@ import pytest
 
 import nornet
 from conftest import fork_net
-from nornet import parse_network, serialize_network
+from nornet import GeneratorConfig, generate_network, parse_network, serialize_network
 from nornet.cli import _build_parser, main
 
 MINIMAL = """\
@@ -89,6 +90,32 @@ class TestGenCommand:
         assert out1.read_bytes() == out2.read_bytes()
         net = parse_network(out1.read_text())
         assert len(net.nodes) == 13
+
+    def test_required_flags_only_take_the_config_defaults(self, tmp_path, capsys):
+        out = tmp_path / "a.net"
+        assert main([
+            "gen", "--diseases", "3", "--ips", "10", "--findings", "30", "--seed", "1",
+            "-o", str(out),
+        ]) == 0
+        cfg = GeneratorConfig(n_diseases=3, n_ips=10, n_findings=30, seed=1)
+        assert out.read_text(encoding="utf-8") == serialize_network(generate_network(cfg))
+
+    def test_every_option_sets_its_config_field(self, tmp_path, capsys):
+        out = tmp_path / "a.net"
+        assert main([
+            "gen", "--diseases", "3", "--ips", "10", "--findings", "30",
+            "--fan-in", "3..4", "--fan-out", "2..3", "--eta", "0.3..0.7",
+            "--leak", "0.01..0.02", "--prior", "0.1..0.2", "--ips-chain", "0.2",
+            "--seed", "5", "-o", str(out),
+        ]) == 0
+        cfg = GeneratorConfig(
+            n_diseases=3, n_ips=10, n_findings=30, fan_in_range=(3, 4),
+            fan_out_range=(2, 3), ips_chain_prob=0.2, eta_range=(0.3, 0.7),
+            leak_range=(0.01, 0.02), prior_range=(0.1, 0.2), seed=5,
+        )
+        # every defaulted field differs from its default here
+        assert all(getattr(cfg, f.name) != f.default for f in dataclasses.fields(cfg))
+        assert out.read_text(encoding="utf-8") == serialize_network(generate_network(cfg))
 
     def test_infeasible_config_error_class(self, tmp_path, capsys):
         assert main([

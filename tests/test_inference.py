@@ -1,6 +1,9 @@
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracle
 from nornet import inference
@@ -442,6 +445,41 @@ class TestDegenerateParameterSweep:
                     if abs(value - oracle.posterior(net, did, evidence)) > 1e-10:
                         wrong.append((k, method, did))
         assert wrong == []
+
+
+# Seeded and derandomized, so every run checks the same examples.
+@settings(database=None, derandomize=True, max_examples=100, deadline=None)
+@given(
+    sizes=st.tuples(st.integers(1, 3), st.integers(0, 3), st.integers(1, 4)),
+    chain=st.sampled_from([0.0, 0.5]),
+    seed=st.integers(0, 2**16),
+    observed=st.lists(st.sampled_from([None, False, True]), min_size=4, max_size=4),
+)
+def test_engines_match_the_exact_oracle(sizes, chain, seed, observed):
+    # at most 10 nodes with ordinary parameters; the oracle sums the worlds
+    # in exact rational arithmetic
+    net = generate_network(
+        GeneratorConfig(*sizes, fan_in_range=(1, 3), ips_chain_prob=chain,
+                        eta_range=(0.05, 0.95), leak_range=(0.0, 0.1),
+                        prior_range=(0.05, 0.95), seed=seed)
+    )
+    findings = [n.id for n in net.nodes_of_kind(NodeKind.FINDING)]
+    evidence = {fid: v for fid, v in zip(findings, observed) if v is not None}
+    z = oracle.exact_event_prob(net, evidence)
+    if z == 0:
+        for method in ("enumeration", "elimination"):
+            with pytest.raises(EvidenceError):
+                posterior(net, evidence, method=method)
+        return
+    exact = {
+        n.id: oracle.exact_event_prob(net, {**evidence, n.id: True}) / z
+        for n in net.nodes_of_kind(NodeKind.DISEASE)
+    }
+    for method in ("enumeration", "elimination"):
+        result = posterior(net, evidence, method=method)
+        assert result.posteriors.keys() == exact.keys()
+        for did, value in result.posteriors.items():
+            assert abs(Fraction(value) - exact[did]) <= 1e-12
 
 
 class TestEliminationReuse:

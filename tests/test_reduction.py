@@ -1,14 +1,17 @@
 import functools
 import hashlib
 import math
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracle
-from conftest import chain_net, diamond_net, fork_net, random_unit_fan_net
+from conftest import chain_net, criterion_8_net, diamond_net, fork_net, random_unit_fan_net
 from nornet import (
     DomainError,
     Edge,
@@ -275,6 +278,27 @@ class TestLevelReduce:
                 eliminate_ips, report.eliminated_ips_order, net
             )
 
+    def test_reversed_order_gives_another_network(self):
+        # composing and merging do not commute once paths through chained
+        # intermediates merge, which is why level_reduce freezes its order
+        def reduce_both_ways(fan):
+            net = criterion_8_net(fan)
+            report = level_reduce(net)
+            backward = functools.reduce(
+                eliminate_ips, reversed(report.eliminated_ips_order), net
+            )
+            etas = {(e.src, e.dst): e.eta for e in report.reduced.edges}
+            other = {(e.src, e.dst): e.eta for e in backward.edges}
+            assert other.keys() == etas.keys()
+            return [(etas[k], other[k]) for k in etas if etas[k] != other[k]]
+
+        differ = reduce_both_ways((3, 4))
+        assert len(differ) == 66
+        assert max(abs(a - b) for a, b in differ) == pytest.approx(0.2267, abs=1e-4)
+        differ = reduce_both_ways((1, 2))
+        assert len(differ) == 5
+        assert all(abs(a - b) == math.ulp(max(a, b)) for a, b in differ)
+
     def test_reduced_file_and_provenance_are_pinned(self):
         # recorded when level_reduce still built a network per intermediate
         report = level_reduce(chained_net(11))
@@ -415,3 +439,28 @@ def test_reduction_with_degenerate_parameters_validates(seed, etas, leaks):
     degenerate = Network(net.name, nodes, edges)
     assert degenerate.violations() == ()
     assert level_reduce(degenerate).reduced.violations() == ()
+
+
+FAILING_PROPERTY = """\
+from hypothesis import given, settings, strategies as st
+
+
+@settings(database=None, derandomize=True)
+@given(st.integers())
+def test_fails(x):
+    assert x < 0
+"""
+
+
+def test_a_failing_property_is_reported_as_a_failure(tmp_path):
+    # under the repository's pytest settings, where warnings are errors
+    (tmp_path / "test_fails.py").write_text(FAILING_PROPERTY)
+    config = Path(__file__).resolve().parent.parent / "pyproject.toml"
+    run = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "-c", str(config),
+         "--rootdir", str(tmp_path), "test_fails.py"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=120,
+    )
+    assert run.returncode == 1, run.stdout + run.stderr
+    assert "1 failed" in run.stdout
+    assert "INTERNALERROR" not in run.stdout + run.stderr

@@ -129,6 +129,13 @@ class TestStudentT:
             assert two_sided_p(1.959963984540054, df) == pytest.approx(0.05, abs=1e-9)
             assert two_sided_p(2.241402727604947, df) == pytest.approx(0.025, abs=1e-9)
 
+    @pytest.mark.parametrize("t", [2.0, 5.0, 8.0, 9.0, 12.0])
+    def test_normal_limit_keeps_the_far_tail(self, t):
+        # either side of the switch to the normal limit the tails agree;
+        # 2 * Phi(-t) would cancel in 1 + erf(-t / sqrt(2)) and give 0.0 at t = 9
+        below = two_sided_p(t, 10**8)
+        assert two_sided_p(t, 10**8 + 1) == pytest.approx(below, rel=1e-4, abs=0.0)
+
     def test_critical_decreases_with_df(self):
         # equivalently, the tail beyond a fixed t shrinks as df grows
         values = [two_sided_p(2.0, df) for df in (1, 2, 5, 20, 100, 1000, 10**9)]
