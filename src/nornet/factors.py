@@ -4,9 +4,8 @@ elimination, plus min-degree elimination ordering.
 The sum-product step multiplies the factors that mention a variable and
 sums it out in one pass. It comes in two halves, so that an elimination
 plan can build the symbolic one once and run the numeric one per query:
-:func:`sum_product_maps` depends on scopes only and gives the
-``operator.itemgetter`` pairs that :func:`sum_product_values` reads the
-tables with.
+:func:`sum_product_maps` depends on scopes only and gives per factor the
+``operator.itemgetter`` that :func:`sum_product_values` reads it with.
 
 A factor is a scope, a sorted tuple of node ids, and a table, a flat list
 of 2**k floats; bit i of a table index is the state of scope variable i.
@@ -22,27 +21,24 @@ from operator import add, itemgetter, mul
 def sum_product_maps(scopes, var):
     """The symbolic half of the sum-product step over factors with
     ``scopes``, each of which mentions ``var``: the output scope, and per
-    factor the pair of getters (see :func:`getter`) that read its table at
-    every output cell with ``var`` absent and with it present. Their index
-    lists grow by doubling, one output variable at a time: the upper half
-    of each copy sets that variable's bit in the factor, or repeats the
-    lower half outside its scope. Factors with equal scopes share one
-    pair."""
+    factor the getter that reads its table at every output cell with
+    ``var`` absent and then present, cell by cell. The index list grows by
+    doubling, one output variable at a time: the upper half of each copy
+    sets that variable's bit in the factor, or repeats the lower half
+    outside its scope. Factors with equal scopes share one getter."""
     scope = tuple(sorted({v for s in scopes for v in s} - {var}))
-    pairs = {}
+    reads = {}
     for s in scopes:
-        if s not in pairs:
-            absent, present = [0], [1 << s.index(var)]
+        if s not in reads:
+            read = [0, 1 << s.index(var)]
             for v in scope:
                 if v in s:
                     bit = 1 << s.index(v)
-                    absent += [i | bit for i in absent]
-                    present += [i | bit for i in present]
+                    read += [i | bit for i in read]
                 else:
-                    absent *= 2
-                    present *= 2
-            pairs[s] = getter(absent), getter(present)
-    return scope, [pairs[s] for s in scopes]
+                    read *= 2
+            reads[s] = itemgetter(*read)
+    return scope, [reads[s] for s in scopes]
 
 
 def getter(indices):
@@ -53,37 +49,39 @@ def getter(indices):
     return itemgetter(*indices)
 
 
-def sum_product_values(getters, tables):
+def sum_product_values(reads, tables):
     """The numeric half of the sum-product step: per output cell, the
     products of the tables' entries in list order with the eliminated
-    variable absent and present, then their sum, read through the getter
-    pairs of :func:`sum_product_maps`. Starting each product from the first
-    table's entry instead of 1.0 changes no bit, and neither does
-    ``map(mul, ...)``: it forms the same products in the same order."""
-    pairs = iter(zip(getters, tables))
-    (absent, present), values = next(pairs)
-    p0 = absent(values)
-    p1 = present(values)
-    for (absent, present), values in pairs:
-        p0 = list(map(mul, p0, absent(values)))
-        p1 = list(map(mul, p1, present(values)))
-    return list(map(add, p0, p1))
+    variable absent and present, then their sum. Each table is read once,
+    by its getter from :func:`sum_product_maps`, which puts the two side
+    by side. Starting each product from the first table's entry instead of
+    1.0 changes no bit, and neither do chained ``map(mul, ...)`` calls,
+    listed every second product so that few reads are held and maps never
+    nest deep: they form the same products in the same order."""
+    cells = reads[0](tables[0])
+    for k in range(1, len(tables)):
+        cells = map(mul, cells, reads[k](tables[k]))
+        cells = cells if k & 1 else list(cells)
+    cells = iter(cells)
+    return list(map(add, cells, cells))
 
 
 def min_degree_order(variables, scopes) -> list[str]:
     """Elimination order by repeated minimum degree over the interaction
-    graph induced by the factor scopes, ids ascending on ties. Neighbor sets
-    hold live variables only: eliminating a variable removes it from its
-    neighbors' sets and connects those neighbors to each other (fill-in)."""
-    neighbors: dict[str, set[str]] = {v: set() for v in variables}
+    graph induced by the factor scopes, ids ascending on ties: the
+    neighbor sets are built in ascending-id order and ``min`` keeps the
+    first minimum. They hold live variables only: eliminating a variable
+    removes it from its neighbors' sets and connects those (fill-in)."""
+    neighbors: dict[str, set[str]] = {v: set() for v in sorted(variables)}
     for scope in scopes:
         live = [v for v in scope if v in neighbors]
-        for v in live:
-            neighbors[v].update(live)
-            neighbors[v].discard(v)
+        if len(live) > 1:
+            for v in live:
+                neighbors[v].update(live)
+                neighbors[v].discard(v)
     order: list[str] = []
     while neighbors:
-        best = min(neighbors, key=lambda v: (len(neighbors[v]), v))
+        best = min(neighbors, key=lambda v: len(neighbors[v]))
         order.append(best)
         nbrs = neighbors.pop(best)
         for v in nbrs:

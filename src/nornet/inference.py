@@ -25,23 +25,25 @@ above that eliminates, which raises the cap's :class:`DomainError`.
 
 An elimination pass is a symbolic plan run numerically. The plan is
 keyed by the needed ids and the fixed ids. It holds the factor scopes,
-the min-degree order, per kept node where its tables are found, and per
-step its slots and getters. The pass looks up every node table the same
-way, by the node, its fixed family ids and their values. All of this
-lives in an :class:`_Elimination`, one network's query engine that one
-call owns: it holds the network and its disease ids, and three stores:
-per needed id set the kept order, plans and answers, so a repeated query
-runs no pass; per node its family and tables; and per step its getters,
-shared among the plans that repeat the step. The answers grow with the
-distinct queries of the call. A standalone posterior makes one engine
-for its 1 + |diseases| passes, and ``run_experiment`` makes one per
-network for all its cases. Nothing outlives the call that made it.
+the min-degree order, per kept node its entry for the ids it fixes, and
+per step its slots and getters. The pass looks up every node table the
+same way, through its entry, by the fixed values. All of this lives in
+an :class:`_Elimination`, one network's query engine that one call
+owns: it holds the network and its disease ids, and three stores: per
+needed id set the kept order, plans and answers, so a repeated query
+runs no pass; per node its family and entries, shared by the plans; and
+per step its getters, shared among the plans that repeat the step. The
+answers grow with the distinct queries of the call. A standalone
+posterior makes one engine for its 1 + |diseases| passes, and
+``run_experiment`` makes one per network for all its cases. Nothing
+outlives the call that made it.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
+from math import prod
 from operator import itemgetter
 
 from .errors import DomainError, EvidenceError, IncompleteAssignmentError
@@ -163,18 +165,18 @@ class _Elimination:
     An answer's key is the fixed values over the kept order, ``None`` where
     a node is not fixed, so it copies neither the evidence nor the id set.
 
-    ``nodes`` maps a node to its family (itself, then its parents), that
-    family sorted, and its tables keyed by fixed family ids and then by the
-    fixed values as ``operator.itemgetter(*ids)`` reads them (a bare value
-    for one id, ``()`` for none). Under noisy-OR a table depends on nothing
-    else, so every query that fixes the same family members to the same
-    values shares it. The ids belong in the key: a finding with parents
-    ``d1`` and ``d2`` fixes (``d1``, itself) in one disease pass and
-    (``d2``, itself) in another.
+    ``nodes`` maps a node to its family (itself, then its parents) and its
+    plan entries ``(read, tables, nid, scope)`` keyed by fixed family ids:
+    the getter of the fixed values (a bare value for one id, ``()`` for
+    none), the tables keyed by those values, and the unfixed family
+    sorted. Under noisy-OR a table depends on nothing else, so every query
+    that fixes the same family members to the same values shares it. The
+    ids belong in the key: a finding with parents ``d1`` and ``d2`` fixes
+    (``d1``, itself) in one disease pass and (``d2``, itself) in another.
 
     ``steps`` maps a step's (input scopes, variable) to its output scope
-    and getter pairs: the 1 + |diseases| plans of one evidence id set often
-    repeat a step."""
+    and one getter per input: the 1 + |diseases| plans of one evidence id
+    set often repeat a step."""
 
     def __init__(self, net: Network):
         self.net = net
@@ -184,34 +186,40 @@ class _Elimination:
         self.steps = {}
 
 
-def _node_factor(compiled, nid, scope, held):
-    """The table of P(nid | parents) over ``scope``, its unfixed family,
-    with the rest of the family held at the ``(id, value)`` pairs of
-    ``held``."""
-    state = [False] * len(compiled.rows)
-    for v, value in held:
-        state[compiled.index[v]] = value
+def _node_factor(net, nid, scope, held):
+    """The table of P(nid | parents) in ``net`` over ``scope``, its unfixed
+    family, with the rest of the family held at its values in ``held``,
+    which may map other ids too."""
+    compiled = net.compiled
     i = compiled.index[nid]
     row = compiled.rows[i]
+    state = [False] * len(compiled.rows)
+    for j in (i, *[parent for parent, _ in row[2]]):
+        state[j] = held.get(compiled.order[j], False)
     scope_rows = [compiled.index[v] for v in scope]
     values = [0.0] * (1 << len(scope))
     for idx in range(len(values)):
-        for bit, j in enumerate(scope_rows):
+        # from idx - 1, only the lowest set bit of idx and those below it change
+        for bit, j in enumerate(scope_rows[: (idx & -idx).bit_length()]):
             state[j] = (idx >> bit) & 1
         p = row_prob(row, state)
         values[idx] = p if state[i] else 1.0 - p
     return values
 
 
+def _no_ids(_):
+    """The fixed values of a node that fixes none of its family."""
+    return ()
+
+
 def _plan(cache, kept_order, fixed):
     """The symbolic part of one elimination pass: ``(nodes, steps,
     final)``. Factor slots number the node tables in kept order, then each
-    step's output. ``nodes`` holds per kept node the getter of its fixed
-    family values, its tables for those fixed ids in ``cache.nodes``, and
-    what building a missing table takes; the pass looks up every node
-    table this one way. A step sums the slots that mention its variable,
-    in factor-list order, and its output joins the end of the list;
-    ``final`` holds the slots left, whose single entries multiply to the
+    step's output. ``nodes`` holds per kept node its entry in
+    ``cache.nodes`` for the ids it fixes; the pass looks up every node
+    table through it. A step sums the slots that mention its variable, in
+    factor-list order, and its output joins the end of the list; ``final``
+    holds the slots left, whose single entries multiply to the
     likelihood."""
     compiled = cache.net.compiled
     nodes, scopes = [], []
@@ -224,24 +232,24 @@ def _plan(cache, kept_order, fixed):
                     f"node {nid!r} has {len(parents)} parents; elimination materializes "
                     f"full tables only up to {DEFAULT_MAX_FACTOR_PARENTS} parents"
                 )
-            family = (nid, *[compiled.order[j] for j, _ in parents])
-            node = cache.nodes[nid] = family, tuple(sorted(family)), {}
-        family, ordered, tables = node
+            node = cache.nodes[nid] = (nid, *[compiled.order[j] for j, _ in parents]), {}
+        family, entries = node
         ids = tuple([v for v in family if v in fixed])
-        scope = tuple([v for v in ordered if v not in fixed])
-        read = itemgetter(*ids) if ids else lambda _: ()
-        nodes.append((read, tables.setdefault(ids, {}), nid, ids, scope))
-        scopes.append(scope)
-    hidden = sorted([nid for nid in kept_order if nid not in fixed])
+        entry = entries.get(ids)
+        if entry is None:
+            scope = tuple([v for v in sorted(family) if v not in fixed])
+            entry = entries[ids] = itemgetter(*ids) if ids else _no_ids, {}, nid, scope
+        nodes.append(entry)
+        scopes.append(entry[3])
     # the slots that mention each hidden node, ascending; a step sums those
     # that no earlier step summed
-    mentions = {v: [] for v in hidden}
+    mentions = {nid: [] for nid in kept_order if nid not in fixed}
     for k, scope in enumerate(scopes):
         for v in scope:
             mentions[v].append(k)
     summed = set()
     steps = []
-    for var in min_degree_order(hidden, scopes):
+    for var in min_degree_order(mentions, scopes):
         related = [k for k in mentions.pop(var) if k not in summed]
         summed.update(related)
         inputs = tuple([scopes[k] for k in related])
@@ -264,20 +272,14 @@ def _ve_likelihood(cache, kept_order, plans, fixed):
     if plan is None:
         plan = plans[key] = _plan(cache, kept_order, fixed)
     nodes, steps, final = plan
-    tables = []
-    for read, known, nid, ids, scope in nodes:
-        values = read(fixed)
-        table = known.get(values)
-        if table is None:
-            held = [(v, fixed[v]) for v in ids]
-            table = known[values] = _node_factor(cache.net.compiled, nid, scope, held)
-        tables.append(table)
-    for related, getters in steps:
-        tables.append(sum_product_values(getters, related(tables)))
-    result = 1.0
-    for k in final:
-        result *= tables[k][0]
-    return result
+    tables = [known.get(read(fixed)) for read, known, _, _ in nodes]
+    if None in tables:
+        for k, (read, known, nid, scope) in enumerate(nodes):
+            if tables[k] is None:
+                tables[k] = known[read(fixed)] = _node_factor(cache.net, nid, scope, fixed)
+    for related, reads in steps:
+        tables.append(sum_product_values(reads, related(tables)))
+    return prod([tables[k][0] for k in final], start=1.0)
 
 
 # -- shared dispatch ------------------------------------------------------------

@@ -21,6 +21,7 @@ import re
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from functools import cached_property
+from operator import itemgetter
 from typing import NamedTuple
 
 from .errors import DomainError, ValidationError
@@ -206,8 +207,12 @@ class Network:
             if node.kind is NodeKind.DISEASE:
                 rows.append((True, float(node.prior), ()))
             else:
-                parents = tuple((index[pid], 1.0 - eta) for pid, eta in self._parents[nid])
-                rows.append((False, 1.0 - node.leak, parents))
+                parents = tuple([(index[pid], 1.0 - eta) for pid, eta in self._parents[nid]])
+                base = 1.0 - node.leak
+                # a leak or an eta x > 0 with 1 - x == 1.0; every eta is positive
+                tiny = (base == 1.0 and node.leak > 0.0) or 1.0 in map(itemgetter(1), parents)
+                head = (node.leak, *[eta for _, eta in self._parents[nid]]) if tiny else False
+                rows.append((head, base, parents))
         return CompiledNetwork(order, index, tuple(rows))
 
     @cached_property
@@ -252,31 +257,48 @@ class CompiledNetwork(NamedTuple):
 
     ``order`` holds the node ids in topological order (ascending-id tie
     break) and ``index`` maps each id to its position there, its row.
-    ``rows[i]`` is ``(is_disease, base, parents)`` for node ``order[i]``:
+    ``rows[i]`` is ``(head, base, parents)`` for node ``order[i]``:
     ``base`` is the prior of a disease and ``1 - leak`` of any other node,
     and ``parents`` holds ``(row, 1 - eta)`` pairs in ascending parent-id
-    order, every parent row before its child's. Sampling, ``joint_prob``,
-    enumeration and factor building all evaluate rows through
-    :func:`row_prob`, so they multiply the same doubles in the same order
-    and agree bit for bit.
+    order, every parent row before its child's. ``head`` is True for a
+    disease and False for any other node, unless its leak or an eta is an
+    x > 0 with ``1 - x == 1.0``: then it holds ``(leak, *etas)``, in the
+    order of ``parents``, for :func:`row_prob`'s accurate form. Sampling,
+    ``joint_prob``, enumeration and factor building all evaluate rows
+    through :func:`row_prob`, so they multiply the same doubles in the same
+    order and agree bit for bit.
     """
 
     order: tuple[str, ...]
     index: dict[str, int]
-    rows: tuple[tuple[bool, float, tuple[tuple[int, float], ...]], ...]
+    rows: tuple[tuple[bool | tuple[float, ...], float, tuple[tuple[int, float], ...]], ...]
 
 
 def row_prob(row: tuple, state: Sequence) -> float:
     """P(node present) for one :class:`CompiledNetwork` row, given
     ``state`` indexed by row, whose entries for the row's parents are set
-    (truthy means present). A disease returns its prior as is."""
-    is_disease, base, parents = row
-    if is_disease:
-        return base
+    (truthy means present). A disease returns its prior as is. Any other
+    node returns 1 - (1 - leak) * prod(1 - eta) over its present parents,
+    except where that cancels to 0.0 while a present parent or the leak
+    makes the exact value positive: only a row whose ``head`` holds its
+    leak and etas can, and it returns :func:`one_minus_prod` of those."""
+    head, base, parents = row
+    if head:
+        return base if head is True else _accurate_row_prob(row, state)
     for j, one_minus_eta in parents:
         if state[j]:
             base *= one_minus_eta
     return 1.0 - base
+
+
+def _accurate_row_prob(row: tuple, state: Sequence) -> float:
+    """:func:`row_prob` of a row whose leak or some eta is too small to
+    leave 1 - x below 1.0, and whose ``head`` is ``(leak, *etas)``."""
+    xs, base, parents = row
+    plain = row_prob((False, base, parents), state)
+    if plain != 0.0:
+        return plain
+    return one_minus_prod([xs[0], *[eta for (j, _), eta in zip(parents, xs[1:]) if state[j]]])
 
 
 def validate(net: Network) -> list[Violation]:

@@ -271,6 +271,18 @@ class TestInferCommand:
         assert main(["infer", str(path), "--evidence", "f1=1"]) == 1
         assert capsys.readouterr().err.startswith("error:evidence:")
 
+    def test_tiny_eta_or_leak_is_no_evidence_error(self, tmp_path, capsys):
+        # 1 - 1e-20 rounds to 1.0; the exact likelihoods are 5e-21 and 1e-20
+        files = {
+            "eta": ("node f finding leak=0 phase=1\nedge d f eta=1e-20\n", "d 1\n"),
+            "leak": ("node f finding leak=1e-20 phase=1\n", "d 0.5\n"),
+        }
+        for name, (lines, want) in files.items():
+            path = tmp_path / f"{name}.net"
+            path.write_text(f"nornet 1 {name}\nnode d disease leak=0 prior=0.5\n{lines}")
+            assert main(["infer", str(path), "--evidence", "f=1"]) == 0
+            assert capsys.readouterr().out == want
+
     def test_evidence_on_disease_rejected(self, net_file, capsys):
         assert main(["infer", net_file, "--evidence", "d1=1"]) == 1
         assert capsys.readouterr().err.startswith("error:domain:")

@@ -134,6 +134,12 @@ def _toy_two_phase_chain() -> Network:
     )
 
 
+def _hex_line(result) -> str:
+    """Every posterior and the likelihood of ``result`` as ``float.hex``."""
+    posts = " ".join(f"{d}={v.hex()}" for d, v in sorted(result.posteriors.items()))
+    return f"{posts} L={result.evidence_likelihood.hex()}\n"
+
+
 class TestRunExperiment:
     def test_zero_ips_network_gives_identical_columns_and_zero_t(self):
         net = Network(
@@ -226,6 +232,33 @@ class TestRunExperiment:
             for jobs in (1, 2):
                 text = report_csv(run_experiment(net, 40, seed=7, jobs=jobs))
                 assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    def test_posteriors_are_pinned_bit_for_bit(self):
+        # the reports keep 9 significant digits; this pins every bit of the
+        # posteriors and likelihoods behind them, so a speed-up that moves
+        # one multiplication shows here
+        digest = hashlib.sha256()
+        for fan in ((1, 2), (3, 4)):
+            full = criterion_8_net(fan)
+            reduced = level_reduce(full).reduced
+            engines = (inference._Elimination(full), inference._Elimination(reduced))
+            for case in generate_cases(full, 20, seed=11):
+                evidence = [case.cumulative_evidence(phase) for phase in range(1, 6)]
+                for phase, posts in zip(evidence, _eval_case(evidence, engines)):
+                    for engine, post in zip(engines, posts):
+                        # the engine's stored answer: no second pass
+                        result = inference._posterior(engine, phase, None, "elimination")
+                        assert result.posteriors == post
+                        digest.update(_hex_line(result).encode())
+        for seed in range(5):
+            net = generate_network(GeneratorConfig(2, 3, 6, fan_in_range=(1, 3), seed=seed))
+            for case in generate_cases(net, 2, seed=seed):
+                for phase in range(1, 6):
+                    for method in ("enumeration", "elimination"):
+                        result = posterior(net, case.cumulative_evidence(phase), method=method)
+                        digest.update(_hex_line(result).encode())
+        want = "1d678aa7efca188ebe178497b98f16ce2b820c437d9bf8619d6ce4ea5015cf58"
+        assert digest.hexdigest() == want
 
     def test_serial_and_parallel_runs_agree_byte_for_byte(self):
         net = generate_network(GeneratorConfig(2, 3, 10, seed=6))

@@ -1,6 +1,6 @@
 """The sum-product step of variable elimination, bit for bit against a
-pairwise multiply-then-sum-out reference, its index maps against a
-per-cell bit loop, and min-degree ordering against its original
+pairwise multiply-then-sum-out reference, its one read per factor against
+a per-cell bit loop, and min-degree ordering against its original
 formulation."""
 
 import random
@@ -90,7 +90,8 @@ def test_matches_pairwise_reference_bit_for_bit():
 
 def _reference_maps(scopes, var):
     """Index maps as first written: every output cell gathers each factor's
-    table index bit by bit."""
+    table index bit by bit, with the eliminated variable absent and then
+    present, cell by cell."""
     scope = tuple(sorted({v for s in scopes for v in s} - {var}))
     maps = []
     for s in scopes:
@@ -102,7 +103,7 @@ def _reference_maps(scopes, var):
             for bit, pos in bits:
                 i |= ((idx >> pos) & 1) << bit
             absent.append(i)
-        maps.append((absent, [i | var_bit for i in absent]))
+        maps.append([i for a in absent for i in (a, a | var_bit)])
     return scope, maps
 
 
@@ -116,12 +117,10 @@ def test_index_maps_match_per_cell_bit_loop():
             tuple(sorted({var, *rng.sample(others, rng.randint(0, len(others)))}))
             for _ in range(rng.randint(1, 4))
         ]
-        scope, pairs = sum_product_maps(scopes, var)
-        # each getter applied to a table's own indices reads its index list
-        maps = [
-            tuple(list(read(range(1 << len(s)))) for read in pair)
-            for s, pair in zip(scopes, pairs)
-        ]
+        scope, reads = sum_product_maps(scopes, var)
+        # each getter applied to a table's own indices reads its index list:
+        # one read per factor, absent and then present at each output cell
+        maps = [list(read(range(1 << len(s)))) for s, read in zip(scopes, reads)]
         assert (scope, maps) == _reference_maps(scopes, var)
         widths.add(len(scope))
     assert widths == set(range(9))
@@ -164,8 +163,9 @@ def _reference_min_degree_order(variables, scopes):
 
 
 def test_min_degree_order_matches_reference():
-    # scopes may name ids outside ``variables`` (observed nodes) and may be
-    # empty; both must be ignored exactly as the reference ignores them
+    # scopes may name ids outside ``variables`` (observed nodes), may be
+    # empty and may hold one live variable; each must be ignored exactly as
+    # the reference ignores it
     rng = random.Random(61)
     ids = [f"v{i:02d}" for i in range(30)]
     for _ in range(1000):
@@ -174,6 +174,7 @@ def test_min_degree_order_matches_reference():
             tuple(sorted(rng.sample(ids, rng.randint(0, 5))))
             for _ in range(rng.randint(0, 30))
         ]
-        assert min_degree_order(variables, scopes) == _reference_min_degree_order(
-            variables, scopes
-        )
+        want = _reference_min_degree_order(variables, scopes)
+        # the tie-break is on ids, whatever order the variables come in
+        for given in (variables, sorted(variables), sorted(variables, reverse=True)):
+            assert min_degree_order(given, scopes) == want

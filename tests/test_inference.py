@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -15,6 +16,7 @@ from nornet import (
     IncompleteAssignmentError,
     Network,
     NodeKind,
+    PosteriorResult,
     SplitMix64,
     ValidationError,
     disease,
@@ -28,6 +30,7 @@ from nornet import (
     marginal,
     posterior,
 )
+from nornet.model import row_prob
 
 
 def _shared_finding_net(priors, eta=0.3):
@@ -480,6 +483,98 @@ def test_engines_match_the_exact_oracle(sizes, chain, seed, observed):
         assert result.posteriors.keys() == exact.keys()
         for did, value in result.posteriors.items():
             assert abs(Fraction(value) - exact[did]) <= 1e-12
+
+
+class TestTinyParameters:
+    """An eta or leak x > 0 whose 1 - x rounds to 1.0 keeps its finding
+    possible: the evidence is not reported impossible."""
+
+    def test_tiny_eta(self):
+        net = Network("c1", [disease("d", 0.5), finding("f", 0.0, 1)], [Edge("d", "f", 1e-20)])
+        for method in ("enumeration", "elimination", "auto"):
+            result = posterior(net, {"f": True}, method=method)
+            assert result == PosteriorResult({"d": 1.0}, 5e-21)
+
+    def test_tiny_leak(self):
+        net = Network("c2", [disease("d", 0.5), finding("f", 1e-20, 1)], [])
+        for method in ("enumeration", "elimination", "auto"):
+            result = posterior(net, {"f": True}, conjunction=["d"], method=method)
+            assert result == PosteriorResult({"d": 0.5}, 1e-20, 0.5)
+
+
+# x with 1 - x == 1.0, ordinary values and the certain 1.0
+TINY_OR_ORDINARY = st.sampled_from([1e-20, 1e-200, 5e-324, 0.3, 0.9, 1.0])
+
+
+# Seeded and derandomized, so every run checks the same examples.
+@settings(database=None, derandomize=True, max_examples=100, deadline=None)
+@given(
+    sizes=st.tuples(st.integers(1, 3), st.integers(0, 3), st.integers(1, 4)),
+    seed=st.integers(0, 2**16),
+    etas=st.lists(TINY_OR_ORDINARY, min_size=1, max_size=6),
+    leaks=st.lists(TINY_OR_ORDINARY | st.just(0.0), min_size=1, max_size=6),
+    priors=st.lists(st.sampled_from([0.0, 0.2, 0.7, 1.0]), min_size=1, max_size=3),
+    observed=st.lists(st.sampled_from([None, False, True]), min_size=4, max_size=4),
+)
+def test_evidence_error_iff_the_exact_likelihood_is_zero(
+    sizes, seed, etas, leaks, priors, observed
+):
+    # at most 10 nodes; where the exact likelihood is positive but below the
+    # normal range, elimination may still underflow to 0 (scaled numbers
+    # are another change), so those examples check nothing; elsewhere the
+    # posteriors also match the exact ones
+    net = generate_network(
+        GeneratorConfig(*sizes, fan_in_range=(1, 3), ips_chain_prob=0.5, seed=seed)
+    )
+    nodes = [
+        replace(n, prior=priors[k % len(priors)]) if n.kind is NodeKind.DISEASE
+        else replace(n, leak=leaks[k % len(leaks)])
+        for k, n in enumerate(net.nodes)
+    ]
+    edges = [Edge(e.src, e.dst, etas[k % len(etas)]) for k, e in enumerate(net.edges)]
+    net = Network(net.name, nodes, edges)
+    findings = [n.id for n in net.nodes_of_kind(NodeKind.FINDING)]
+    evidence = {fid: v for fid, v in zip(findings, observed) if v is not None}
+    z = oracle.exact_event_prob(net, evidence)
+    if 0 < z < Fraction(2) ** -1022:
+        return
+    for method in ("enumeration", "elimination"):
+        if z == 0:
+            with pytest.raises(EvidenceError):
+                posterior(net, evidence, method=method)
+            continue
+        result = posterior(net, evidence, method=method)
+        assert result.evidence_likelihood > 0.0
+        for did, value in result.posteriors.items():
+            exact = oracle.exact_event_prob(net, {**evidence, did: True}) / z
+            assert abs(Fraction(value) - exact) <= 1e-12
+
+
+def test_node_tables_equal_a_per_cell_row_prob_loop():
+    # node tables set only the state bits that change from one cell to the
+    # next; the reference sets every bit of every cell
+    rng = random.Random(1996)
+    for k in range(300):
+        parents = [f"d{j:02d}" for j in range(rng.randint(1, 12))]
+        net = Network(
+            "row",
+            [*[disease(d, 0.5) for d in parents], finding("f", rng.choice((0.0, 0.05)), 1)],
+            [Edge(d, "f", rng.choice((1.0, rng.random() or 1.0))) for d in parents],
+        )
+        compiled = net.compiled
+        i = compiled.index["f"]
+        family = sorted(["f", *parents])
+        held = [(v, rng.random() < 0.5) for v in family if rng.random() < 0.4]
+        scope = [v for v in family if v not in dict(held)]
+        want = []
+        for idx in range(1 << len(scope)):
+            state = [False] * len(compiled.rows)
+            for v, value in held + [(v, (idx >> bit) & 1) for bit, v in enumerate(scope)]:
+                state[compiled.index[v]] = value
+            p = row_prob(compiled.rows[i], state)
+            want.append(p if state[i] else 1.0 - p)
+        got = inference._node_factor(net, "f", tuple(scope), dict(held))
+        assert list(map(float.hex, got)) == list(map(float.hex, want)), k
 
 
 class TestEliminationReuse:

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from nornet import (
@@ -21,7 +23,7 @@ from nornet import (
 )
 from nornet.model import row_prob
 
-from conftest import chain_net
+from conftest import chain_net, criterion_8_net
 
 
 class TestValidate:
@@ -294,6 +296,42 @@ class TestRowProb:
             etas = [1.0 - rng.next_float() for _ in range(3)]
             assert _all_on(leak, etas + [1.0]) == 1.0
             assert _closed_form(leak, etas + [1.0]) == 1.0
+
+    def test_tiny_parameters_keep_a_positive_probability(self):
+        # 1 - x rounds to 1.0 for these x, so the plain form cancels to 0.0
+        assert _all_on(0.0, [1e-20]) == 1e-20
+        assert _all_on(0.0, [1e-20, 1e-20]) == 2e-20
+        assert _all_on(0.0, [5e-324]) == 5e-324
+        assert _all_on(1e-20, []) == 1e-20
+        assert _row_prob(_star(1e-20, [1e-200]), "f", set()) == 1e-20
+        # no present parent and no leak: the exact value is 0
+        assert _row_prob(_star(0.0, [1e-20, 1e-200]), "f", set()) == 0.0
+
+    def test_only_rows_that_can_cancel_take_the_accurate_form(self):
+        for fan in ((1, 2), (3, 4)):
+            heads = {row[0] for row in criterion_8_net(fan).compiled.rows}
+            assert heads == {True, False}
+        # 1 - 2**-53 is a double below 1.0, and 1 - 2**-54 rounds to 1.0
+        for x, marked in ((2.0**-53, False), (2.0**-54, True), (5e-324, True)):
+            for net in (_star(x, [0.5]), _star(0.0, [0.5, x])):
+                head = net.compiled.rows[net.compiled.index["f"]][0]
+                assert (head is not False) is marked
+        rng = random.Random(11)
+        for _ in range(2000):
+            xs = [rng.choice((1e-20, 1e-200, 5e-324, 2.0**-54, 0.5, rng.random() or 0.5))
+                  for _ in range(rng.randint(1, 5))]
+            leak, etas = rng.choice((0.0, xs[0])), xs[1:]
+            on = {f"d{k}" for k in range(len(etas)) if rng.random() < 0.5}
+            value = _row_prob(_star(leak, etas), "f", on)
+            base = 1.0 - leak
+            for k, eta in enumerate(etas):
+                if f"d{k}" in on:
+                    base *= 1.0 - eta
+            # every bit of the plain form where it does not cancel
+            if base != 1.0:
+                assert value == 1.0 - base
+            else:
+                assert (value > 0.0) is bool(on or leak)
 
 
 class TestTopologicalOrder:
