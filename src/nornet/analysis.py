@@ -201,7 +201,10 @@ def fan_in_ratio(cfg: StarConfig) -> float:
     denominator falls below the smallest normal double, since 1 - rho_f is
     at least 2**-53 there. Both terms are then also multiplied by the
     exact power of two that brings max(p) up to at least 2**-61, so that
-    (1 - rho_i)(1 - prod(1 - p_k)) cannot turn subnormal either.
+    (1 - rho_i)(1 - prod(1 - p_k)) cannot turn subnormal either, and a
+    subnormal rho_f is scaled up by an exact power of two, short of where
+    rho_f prod(1 - p_k) / q could overflow, before it is multiplied by
+    prod(1 - p_k), the exponent folded back afterwards.
 
     Raises DomainError when the denominator is zero (q or every p_k is 0,
     or rho_f is 1) or when the ratio overflows a double.
@@ -217,8 +220,10 @@ def fan_in_ratio(cfg: StarConfig) -> float:
     if max(cfg.p) * q < 2.0**-969:
         k = max(0, -60 - math.frexp(max(cfg.p))[1])
         p = [math.ldexp(pk, k) for pk in cfg.p]
+        # up to the top binade short of 2**1022 q, so the quotient stays finite
+        s = min(0, 1022 + math.frexp(q)[1]) - math.frexp(rho_f)[1] if rho_f < 2.0**-1022 else 0
         try:
-            leaked = math.ldexp(rho_f * none_on / q, k)
+            leaked = math.ldexp(math.ldexp(rho_f, s) * none_on / q, k - s)
         except OverflowError:
             leaked = math.inf
         layered = (1.0 - cfg.rho_i) * one_minus_prod(p) + leaked

@@ -68,10 +68,13 @@ def sum_product_values(reads, tables):
 
 def min_degree_order(variables, scopes) -> list[str]:
     """Elimination order by repeated minimum degree over the interaction
-    graph induced by the factor scopes, ids ascending on ties: the
-    neighbor sets are built in ascending-id order and ``min`` keeps the
-    first minimum. They hold live variables only: eliminating a variable
-    removes it from its neighbors' sets and connects those (fill-in)."""
+    graph of the factor scopes, ids ascending on ties."""
+    return min_degree_elimination(interaction_graph(variables, scopes))
+
+
+def interaction_graph(variables, scopes) -> dict[str, set[str]]:
+    """Per variable, in ascending-id order, the set of the other
+    ``variables`` it shares a scope with."""
     neighbors: dict[str, set[str]] = {v: set() for v in sorted(variables)}
     for scope in scopes:
         live = [v for v in scope if v in neighbors]
@@ -79,6 +82,13 @@ def min_degree_order(variables, scopes) -> list[str]:
             for v in live:
                 neighbors[v].update(live)
                 neighbors[v].discard(v)
+    return neighbors
+
+
+def min_degree_elimination(neighbors) -> list[str]:
+    """The min-degree order of an :func:`interaction_graph`, which it uses
+    up, ties to the first key: eliminating a variable removes it from its
+    neighbors' sets and connects those (fill-in)."""
     order: list[str] = []
     while neighbors:
         best = min(neighbors, key=lambda v: len(neighbors[v]))

@@ -24,17 +24,18 @@ a kept node has more, ``auto`` enumerates up to 20 unobserved nodes and
 above that eliminates, which raises the cap's :class:`DomainError`.
 
 An elimination pass is a symbolic plan run numerically. The plan is
-keyed by the needed ids and the fixed ids. It holds the factor scopes,
-the min-degree order, per kept node its entry for the ids it fixes, and
-per step its slots and getters. The pass looks up every node table the
-same way, through its entry, by the fixed values. All of this lives in
-an :class:`_Elimination`, one network's query engine that one call
-owns: it holds the network and its disease ids, and three stores: per
-needed id set the kept order, plans and answers, so a repeated query
-runs no pass; per node its family and entries, shared by the plans; and
-per step its getters, shared among the plans that repeat the step. The
-answers grow with the distinct queries of the call. A standalone
-posterior makes one engine for its 1 + |diseases| passes, and
+keyed by the needed ids and the fixed ids: per kept node its entry for
+the ids it fixes, by whose values the pass looks up its table, and per
+step, in min-degree order, its slots and getters. A query's
+1 + |diseases| plans come from one skeleton of its evidence pass; a
+disease's pass swaps the entries of the disease and its kept children.
+All of this lives in an :class:`_Elimination`, one network's query
+engine that one call owns: it holds the network and its disease ids, and
+three stores: per needed id set the kept order, plans and answers, so a
+repeated query runs no pass; per node its family and entries, shared by
+the plans; and per step its getters, shared among the plans that repeat
+the step. The answers grow with the distinct queries of the call. A
+standalone posterior makes one engine for its 1 + |diseases| passes, and
 ``run_experiment`` makes one per network for all its cases. Nothing
 outlives the call that made it.
 """
@@ -47,8 +48,9 @@ from math import prod
 from operator import itemgetter
 
 from .errors import DomainError, EvidenceError, IncompleteAssignmentError
-from .factors import getter, min_degree_order, sum_product_maps, sum_product_values
-from .model import Network, NodeKind, row_prob
+from .factors import getter, interaction_graph, min_degree_elimination
+from .factors import sum_product_maps, sum_product_values
+from .model import Network, NodeKind, row_absent, row_prob
 
 DEFAULT_ENUMERATION_THRESHOLD = 9
 DEFAULT_MAX_FACTOR_PARENTS = 12
@@ -82,7 +84,7 @@ def joint_prob(net: Network, full_assignment: Mapping) -> float:
     prob = 1.0
     for row, value in zip(compiled.rows, state):
         p = row_prob(row, state)
-        prob *= p if value else 1.0 - p
+        prob *= p if value else 1.0 - p or row_absent(row, state)
     return prob
 
 
@@ -138,14 +140,20 @@ def _enum_query(net, kept_order, fixed, track):
             if p > 0.0:
                 state[i] = True
                 rec(k + 1, w * p)
-            if p < 1.0:
+            q = 1.0 - p or row_absent(rows[i], state)
+            if q > 0.0:
                 state[i] = False
-                rec(k + 1, w * (1.0 - p))
+                rec(k + 1, w * q)
         else:
             state[i] = fval
             nw = w * (p if fval else 1.0 - p)
             if nw != 0.0:
                 rec(k + 1, nw)
+            elif p == 1.0 and not fval:
+                # 1 - p cancelled to 0.0; the common path above does no more work
+                nw = w * row_absent(rows[i], state)
+                if nw != 0.0:
+                    rec(k + 1, nw)
 
     rec(0, 1.0)
     return total, dict(zip(track, masses))
@@ -161,7 +169,7 @@ class _Elimination:
     module. Its three stores are each keyed by what their work depends on.
 
     ``shapes`` maps a needed id set to its kept order, its plans keyed by
-    fixed-id set (see :func:`_plan`), and the answers given for it so far.
+    fixed-id set (see :func:`_plans`), and the answers given for it so far.
     An answer's key is the fixed values over the kept order, ``None`` where
     a node is not fixed, so it copies neither the evidence nor the id set.
 
@@ -189,21 +197,37 @@ class _Elimination:
 def _node_factor(net, nid, scope, held):
     """The table of P(nid | parents) in ``net`` over ``scope``, its unfixed
     family, with the rest of the family held at its values in ``held``,
-    which may map other ids too."""
+    which may map other ids too. One pass over the parents in row order
+    forms :func:`row_prob`'s product for every cell at once; a row whose
+    ``head`` holds its leak and etas takes the cells that cancel to 0.0
+    from :func:`row_prob` itself."""
     compiled = net.compiled
-    i = compiled.index[nid]
-    row = compiled.rows[i]
-    state = [False] * len(compiled.rows)
-    for j in (i, *[parent for parent, _ in row[2]]):
-        state[j] = held.get(compiled.order[j], False)
-    scope_rows = [compiled.index[v] for v in scope]
-    values = [0.0] * (1 << len(scope))
-    for idx in range(len(values)):
-        # from idx - 1, only the lowest set bit of idx and those below it change
-        for bit, j in enumerate(scope_rows[: (idx & -idx).bit_length()]):
-            state[j] = (idx >> bit) & 1
-        p = row_prob(row, state)
-        values[idx] = p if state[i] else 1.0 - p
+    head, base, parents = row = compiled.rows[compiled.index[nid]]
+    cells, free = [base], []
+    for j, one_minus_eta in parents:
+        pid = compiled.order[j]
+        if pid in scope:
+            cells += [c * one_minus_eta for c in cells]
+            free.append(j)
+        elif held.get(pid, False):
+            cells = [c * one_minus_eta for c in cells]
+    present = cells if head is True else [1.0 - c for c in cells]
+    if head and head is not True and 0.0 in present:
+        state = [held.get(v, False) for v in compiled.order]
+        for idx in [idx for idx, p in enumerate(present) if p == 0.0]:
+            for bit, j in enumerate(free):
+                state[j] = (idx >> bit) & 1
+            present[idx] = row_prob(row, state)
+    absent = [1.0 - p for p in present]
+    if head is not True and 0.0 in absent:
+        # row_absent's product where 1 - p cancels: the cell itself
+        absent = [q or c for q, c in zip(absent, cells)]
+    if nid not in scope:
+        return present if held.get(nid, False) else absent
+    step = 1 << scope.index(nid)
+    values = []
+    for k in range(0, len(present), step):
+        values += absent[k : k + step] + present[k : k + step]
     return values
 
 
@@ -212,44 +236,66 @@ def _no_ids(_):
     return ()
 
 
-def _plan(cache, kept_order, fixed):
-    """The symbolic part of one elimination pass: ``(nodes, steps,
-    final)``. Factor slots number the node tables in kept order, then each
-    step's output. ``nodes`` holds per kept node its entry in
-    ``cache.nodes`` for the ids it fixes; the pass looks up every node
-    table through it. A step sums the slots that mention its variable, in
-    factor-list order, and its output joins the end of the list; ``final``
-    holds the slots left, whose single entries multiply to the
-    likelihood."""
-    compiled = cache.net.compiled
-    nodes, scopes = [], []
-    for nid in kept_order:
-        node = cache.nodes.get(nid)
-        if node is None:
-            parents = compiled.rows[compiled.index[nid]][2]
-            if len(parents) > DEFAULT_MAX_FACTOR_PARENTS:
-                raise DomainError(
-                    f"node {nid!r} has {len(parents)} parents; elimination materializes "
-                    f"full tables only up to {DEFAULT_MAX_FACTOR_PARENTS} parents"
-                )
-            node = cache.nodes[nid] = (nid, *[compiled.order[j] for j, _ in parents]), {}
-        family, entries = node
-        ids = tuple([v for v in family if v in fixed])
-        entry = entries.get(ids)
-        if entry is None:
-            scope = tuple([v for v in sorted(family) if v not in fixed])
-            entry = entries[ids] = itemgetter(*ids) if ids else _no_ids, {}, nid, scope
-        nodes.append(entry)
-        scopes.append(entry[3])
-    # the slots that mention each hidden node, ascending; a step sums those
-    # that no earlier step summed
+def _entry(cache, nid, fixed):
+    """The plan entry of kept node ``nid`` for the ``fixed`` ids of its
+    family, made in ``cache.nodes`` on first use."""
+    node = cache.nodes.get(nid)
+    if node is None:
+        compiled = cache.net.compiled
+        parents = compiled.rows[compiled.index[nid]][2]
+        if len(parents) > DEFAULT_MAX_FACTOR_PARENTS:
+            raise DomainError(
+                f"node {nid!r} has {len(parents)} parents; elimination materializes "
+                f"full tables only up to {DEFAULT_MAX_FACTOR_PARENTS} parents"
+            )
+        node = cache.nodes[nid] = (nid, *[compiled.order[j] for j, _ in parents]), {}
+    family, entries = node
+    ids = tuple([v for v in family if v in fixed])
+    entry = entries.get(ids)
+    if entry is None:
+        scope = tuple([v for v in sorted(family) if v not in fixed])
+        entry = entries[ids] = itemgetter(*ids) if ids else _no_ids, {}, nid, scope
+    return entry
+
+
+def _plans(cache, kept_order, fixed, track):
+    """The plans of one query's passes, keyed by fixed-id set: the pass
+    over the ``fixed`` ids and, per ``track`` node t, the pass that also
+    fixes t. All come from one skeleton: per kept node its entry, per
+    hidden node the slots that mention it, ascending, and the hidden
+    nodes' :func:`interaction_graph`. t's plan swaps the entries in the
+    slots that mention t, those of t and its kept children."""
+    nodes = [_entry(cache, nid, fixed) for nid in kept_order]
     mentions = {nid: [] for nid in kept_order if nid not in fixed}
-    for k, scope in enumerate(scopes):
+    for k, (_, _, _, scope) in enumerate(nodes):
         for v in scope:
             mentions[v].append(k)
+    graph = interaction_graph(mentions, [entry[3] for entry in nodes])
+    key = frozenset(fixed)
+    plans = {key: _plan(cache, nodes, mentions, graph, None)}
+    for t in track:
+        swapped, ids = nodes[:], {*fixed, t}
+        for k in mentions[t]:
+            swapped[k] = _entry(cache, kept_order[k], ids)
+        plans[key | {t}] = _plan(cache, swapped, mentions, graph, t)
+    return plans
+
+
+def _plan(cache, nodes, mentions, graph, t):
+    """The symbolic part of one elimination pass over the entries
+    ``nodes``, with hidden node ``t`` (or None) dropped from a skeleton's
+    ``mentions`` and ``graph``: ``(nodes, steps, final)``. Factor slots
+    number the node tables in kept order, then each step's output. A step
+    sums the slots that mention its variable and that no earlier step
+    summed, in factor-list order, and its output joins the end of the
+    list; ``final`` holds the slots left, whose single entries multiply to
+    the likelihood."""
+    mentions = {v: slots[:] for v, slots in mentions.items() if v != t}
+    graph = {v: nbrs - {t} for v, nbrs in graph.items() if v != t}
+    scopes = [entry[3] for entry in nodes]
     summed = set()
     steps = []
-    for var in min_degree_order(mentions, scopes):
+    for var in min_degree_elimination(graph):
         related = [k for k in mentions.pop(var) if k not in summed]
         summed.update(related)
         inputs = tuple([scopes[k] for k in related])
@@ -264,19 +310,15 @@ def _plan(cache, kept_order, fixed):
     return nodes, steps, final
 
 
-def _ve_likelihood(cache, kept_order, plans, fixed):
-    """P(fixed assignment) by one elimination pass over the plan that
-    ``plans`` holds for the fixed ids, planned first if it is missing."""
-    key = frozenset(fixed)
-    plan = plans.get(key)
-    if plan is None:
-        plan = plans[key] = _plan(cache, kept_order, fixed)
+def _ve_likelihood(net, plan, fixed):
+    """P(fixed assignment) in ``net`` by one elimination pass over
+    ``plan``, made for the fixed ids."""
     nodes, steps, final = plan
     tables = [known.get(read(fixed)) for read, known, _, _ in nodes]
     if None in tables:
         for k, (read, known, nid, scope) in enumerate(nodes):
             if tables[k] is None:
-                tables[k] = known[read(fixed)] = _node_factor(cache.net, nid, scope, fixed)
+                tables[k] = known[read(fixed)] = _node_factor(net, nid, scope, fixed)
     for related, reads in steps:
         tables.append(sum_product_values(reads, related(tables)))
     return prod([tables[k][0] for k in final], start=1.0)
@@ -317,8 +359,12 @@ def _query(cache, fixed, track, method):
         values = tuple(map(fixed.get, kept))
         answer = answers.get(values)
         if answer is None:
-            total = _ve_likelihood(cache, kept, plans, fixed)
-            masses = {t: _ve_likelihood(cache, kept, plans, {**fixed, t: True}) for t in track}
+            key = frozenset(fixed)
+            if key not in plans:
+                # a fixed-id set's track is the needed ids it leaves unfixed
+                plans.update(_plans(cache, kept, fixed, track))
+            total = _ve_likelihood(net, plans[key], fixed)
+            masses = {t: _ve_likelihood(net, plans[key | {t}], {**fixed, t: True}) for t in track}
             answer = answers[values] = total, masses
         return answer
     raise DomainError(f"unknown inference method {method!r}")

@@ -264,9 +264,9 @@ class CompiledNetwork(NamedTuple):
     disease and False for any other node, unless its leak or an eta is an
     x > 0 with ``1 - x == 1.0``: then it holds ``(leak, *etas)``, in the
     order of ``parents``, for :func:`row_prob`'s accurate form. Sampling,
-    ``joint_prob``, enumeration and factor building all evaluate rows
-    through :func:`row_prob`, so they multiply the same doubles in the same
-    order and agree bit for bit.
+    ``joint_prob``, enumeration and factor building all form a row's
+    products as :func:`row_prob` does, the same doubles in the same order,
+    so they agree bit for bit.
     """
 
     order: tuple[str, ...]
@@ -289,6 +289,20 @@ def row_prob(row: tuple, state: Sequence) -> float:
         if state[j]:
             base *= one_minus_eta
     return 1.0 - base
+
+
+def row_absent(row: tuple, state: Sequence) -> float:
+    """P(node absent) for one :class:`CompiledNetwork` row where 1 minus
+    its :func:`row_prob` cancels to 0.0: (1 - leak) * prod(1 - eta) over
+    the present parents as :func:`row_prob` forms it, or 1 - prior for a
+    disease. Elsewhere callers take 1 - p, so no other bit moves."""
+    head, base, parents = row
+    if head is True:
+        return 1.0 - base
+    for j, one_minus_eta in parents:
+        if state[j]:
+            base *= one_minus_eta
+    return base
 
 
 def _accurate_row_prob(row: tuple, state: Sequence) -> float:

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -164,6 +165,26 @@ class TestRatioR1:
         ratio = fan_in_ratio(StarConfig(p=(p,), q=(q,), rho_i=rho_i))
         assert ratio == expected
         assert abs(Fraction(ratio) / (1 - Fraction(rho_i)) - 1) < 1e-15
+
+    @pytest.mark.parametrize(
+        "p, q, rho_i, rho_f, expected",
+        [
+            # rho_f * prod(1 - p_k) is subnormal before it is divided by q; the
+            # unscaled form gave 0.08750273773460149, off by a relative 3.3e-12
+            ((5.0e-10, 1.2e-118, 7.8e-9), 4.4e-304, 0.97, 2.1e-313, 0.08750273773488948),
+            # q subnormal too: scaling rho_f all the way up would overflow
+            ((0.5,), 1e-315, 0.0, 1e-316, 1.099999998517803),
+        ],
+    )
+    def test_subnormal_finding_leak_keeps_its_digits(self, p, q, rho_i, rho_f, expected):
+        ratio = fan_in_ratio(StarConfig(p=p, q=(q,), rho_i=rho_i, rho_f=(rho_f,)))
+        assert ratio == expected
+        exact_p = [Fraction(pk) for pk in p]
+        none_on = math.prod(1 - pk for pk in exact_p)
+        none_on_q = math.prod(1 - pk * Fraction(q) for pk in exact_p)
+        layered = Fraction(q) * (1 - Fraction(rho_i)) * (1 - none_on) + Fraction(rho_f) * none_on
+        exact = layered / ((1 - none_on_q) * (1 - Fraction(rho_f)))
+        assert abs(Fraction(ratio) / exact - 1) < 1e-16
 
     def test_symmetric_in_disease_order(self):
         rng = SplitMix64(43)

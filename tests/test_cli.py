@@ -1,15 +1,28 @@
 import argparse
 import dataclasses
 import os
+import random
 import subprocess
 import sys
+from fractions import Fraction
+from math import prod
 from pathlib import Path
 
 import pytest
 
 import nornet
+import oracle
 from conftest import fork_net
-from nornet import GeneratorConfig, generate_network, parse_network, serialize_network
+from nornet import (
+    Edge,
+    GeneratorConfig,
+    Network,
+    NodeKind,
+    generate_network,
+    parse_network,
+    serialize_network,
+    star_config_from_network,
+)
 from nornet.cli import _build_parser, main
 
 MINIMAL = """\
@@ -341,6 +354,14 @@ class TestAnalyzeCommand:
         assert "star fan_in=2 fan_out=1" in out
         assert "fan_in_ratio=0.857142857" in out
 
+    def test_subnormal_q_and_finding_leak(self, tmp_path, capsys):
+        # both subnormal: the exact ratio is 1.0999999985, no overflow
+        path = tmp_path / "star.net"
+        path.write_text(serialize_network(fork_net(p=(0.5,), q=(1e-315,), rho_f=(1e-316,))))
+        assert main(["analyze", str(path)]) == 0
+        out, err = capsys.readouterr()
+        assert "fan_in_ratio=1.1\n" in out and err == ""
+
     def test_star_r2_prediction(self, tmp_path, capsys):
         path = tmp_path / "star.net"
         path.write_text(
@@ -386,6 +407,109 @@ class TestExperimentCommand:
         ]) == 1
         assert capsys.readouterr().err.startswith("error:domain: jobs must be at least 1")
         assert not out.exists()
+
+
+class TestCliDegenerateSweep:
+    """Every command on valid networks with degenerate parameters exits 0,
+    or 1 with one ``error:<class>:`` line whose class the input explains:
+    ``evidence`` only where the exact likelihood is 0 or below the normal
+    range, and ``domain`` from ``analyze`` only where the exact star ratio
+    has a zero denominator or overflows a double."""
+
+    ETAS = (1.0, 1e-20, 1e-200, 1e-300, 1e-308, 5e-324, 1.0 - 1e-16, 0.999999, 0.5)
+    PARAMETERS = (0.0, 1.0, 1e-300, 1.0 - 1e-16)
+
+    def _net(self, k):
+        # half the etas, and 40% of the priors and leaks, take a degenerate
+        # or an ordinary value
+        rng = random.Random(k)
+        sizes = rng.randint(1, 3), rng.randint(1, 4), rng.randint(1, 8)
+        net = generate_network(
+            GeneratorConfig(*sizes, fan_in_range=(1, 3), ips_chain_prob=0.3, seed=k)
+        )
+        nodes = []
+        for node in net.nodes:
+            if rng.random() < 0.4:
+                value = rng.choice((*self.PARAMETERS, rng.random()))
+                field = "prior" if node.kind is NodeKind.DISEASE else "leak"
+                node = dataclasses.replace(node, **{field: value})
+            nodes.append(node)
+        edges = [
+            Edge(e.src, e.dst, rng.choice(self.ETAS)) if rng.random() < 0.5 else e
+            for e in net.edges
+        ]
+        return Network(f"degenerate{k}", nodes, edges), rng
+
+    def _exact_star_ratio(self, cfg):
+        """The ratio ``analyze`` prints for a star, in exact arithmetic, or
+        None where its denominator is 0."""
+        if cfg.fan_out == 1:
+            q, rho_f = Fraction(cfg.q[0]), Fraction(cfg.rho_f[0])
+            none_on = prod(1 - Fraction(p) for p in cfg.p)
+            num = q * (1 - Fraction(cfg.rho_i)) * (1 - none_on) + rho_f * none_on
+            den = (1 - prod(1 - Fraction(p) * q for p in cfg.p)) * (1 - rho_f)
+        else:
+            p = Fraction(cfg.p[0])
+            num = p * prod(map(Fraction, cfg.q)) + (1 - p) * prod(map(Fraction, cfg.rho_f))
+            den = prod(p * Fraction(q) for q in cfg.q)
+        return num / den if den else None
+
+    def _error(self, argv, capsys):
+        """The error line of one run, or None where it exits 0."""
+        code = main(argv)
+        out, err = capsys.readouterr()
+        assert "Traceback" not in out + err
+        if code == 0:
+            assert err == ""
+            return None
+        assert code == 1 and err.count("\n") == 1 and err.startswith("error:"), (argv, err)
+        return err
+
+    def test_every_command_exits_0_or_with_the_class_the_input_explains(
+        self, tmp_path, capsys
+    ):
+        errors = []
+        for k in range(50):
+            net, rng = self._net(k)
+            path = tmp_path / f"degenerate{k}.net"
+            path.write_text(serialize_network(net), encoding="utf-8")
+            findings = [n.id for n in net.nodes_of_kind(NodeKind.FINDING)]
+            evidence = {f: rng.random() < 0.5 for f in findings if rng.random() < 0.7}
+            out = str(tmp_path / "out")
+            # the network is valid and its cases are sampled from it
+            for argv in (
+                ["validate", str(path)],
+                ["reduce", str(path), "-o", out],
+                ["validate", out],
+                ["sample", str(path), "--cases", "3", "--seed", "1", "-o", out],
+                ["experiment", str(path), "--cases", "3", "--seed", "1", "--jobs", "1",
+                 "-o", out],
+            ):
+                assert self._error(argv, capsys) is None, (k, argv)
+            argv = ["infer", str(path), "--evidence", ",".join(
+                f"{f}={int(v)}" for f, v in evidence.items()
+            )]
+            err = self._error(argv, capsys)
+            z = oracle.exact_event_prob(net, evidence)
+            if err is None:
+                assert z > 0, k
+            else:
+                assert err.startswith("error:evidence:") and z < Fraction(2) ** -1022, (k, err)
+                errors.append("evidence")
+            err = self._error(["analyze", str(path)], capsys)
+            cfg = star_config_from_network(net)
+            ratio = None if cfg is None else self._exact_star_ratio(cfg)
+            if err is None:
+                assert cfg is None or ratio is not None and ratio <= sys.float_info.max, k
+            elif "is zero" in err:
+                assert err.startswith("error:domain:") and cfg and ratio is None, (k, err)
+                errors.append("zero ratio")
+            else:
+                assert err.startswith("error:domain:") and "overflows a double" in err, (k, err)
+                assert ratio > sys.float_info.max, k
+                errors.append("overflow")
+        # the sweep reaches each explained error
+        assert set(errors) == {"evidence", "zero ratio", "overflow"}
 
 
 CONTRACT_FILES = {

@@ -321,7 +321,8 @@ class TestRunExperiment:
             "nornet.inference._node_factor", counted("tables", inference._node_factor)
         )
         monkeypatch.setattr(
-            "nornet.inference.min_degree_order", counted("orders", inference.min_degree_order)
+            "nornet.inference.min_degree_elimination",
+            counted("orders", inference.min_degree_elimination),
         )
         net = generate_network(GeneratorConfig(2, 3, 8, leak_range=(0.3, 0.6), seed=7))
         # a node table depends on the finding values, so the first 5 cases

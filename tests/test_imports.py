@@ -2,15 +2,17 @@
 
 The package is stdlib-only at runtime, imports at module level only, and
 its modules import one another without cycles. Every name the benchmark
-scripts under ``perfbench/`` import from the package exists, and every
-top-level definition, method and property is used by the package or by
-those scripts, or is public API that README.md names, not used by tests
+scripts under ``perfbench/`` import from the package exists and accepts
+the arguments those scripts call it with, and every top-level
+definition, method and property is used by the package or by those
+scripts, or is public API that README.md names, not used by tests
 alone. The engine's modules keep no state that outlives a call: they bind
 constants only.
 """
 
 import ast
 import importlib
+import inspect
 import re
 import sys
 from collections import Counter
@@ -105,6 +107,40 @@ def test_benchmark_imports_from_package_exist():
         ]
     assert {"nornet", "nornet.cli", "nornet.factors", "nornet.inference"} <= seen
     assert missing == []
+
+
+def test_benchmark_calls_bind_to_package_signatures():
+    # each call of an imported package function binds to its signature, the
+    # argument expressions standing in for their values; a call that
+    # unpacks ``*args`` or ``**kwargs`` has no arity to check
+    imported = {}
+    for script, node in _benchmark_imports():
+        module = importlib.import_module(node.module)
+        for alias in node.names:
+            imported[script, alias.asname or alias.name] = getattr(module, alias.name)
+    checked, wrong = set(), []
+    for path in sorted(BENCHMARK.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)):
+                continue
+            fn = imported.get((path.name, node.func.id))
+            keywords = {k.arg: k.value for k in node.keywords}
+            if fn is None or None in keywords or any(
+                isinstance(a, ast.Starred) for a in node.args
+            ):
+                continue
+            try:
+                inspect.signature(fn).bind(*node.args, **keywords)
+            except TypeError as exc:
+                wrong.append(f"{path.name} line {node.lineno}: {node.func.id}: {exc}")
+            checked.add((fn.__name__, len(node.args), tuple(sorted(keywords))))
+    assert {
+        ("min_degree_order", 2, ()),
+        ("posterior", 2, ("conjunction", "method")),
+        ("run_experiment", 3, ("jobs",)),
+        ("main", 1, ()),
+    } <= checked
+    assert wrong == []
 
 
 def _names(tree):

@@ -30,7 +30,7 @@ from nornet import (
     marginal,
     posterior,
 )
-from nornet.model import row_prob
+from nornet.model import row_absent, row_prob
 
 
 def _shared_finding_net(priors, eta=0.3):
@@ -487,7 +487,8 @@ def test_engines_match_the_exact_oracle(sizes, chain, seed, observed):
 
 class TestTinyParameters:
     """An eta or leak x > 0 whose 1 - x rounds to 1.0 keeps its finding
-    possible: the evidence is not reported impossible."""
+    possible, and so does a product (1 - leak) * prod(1 - eta) below 2**-53
+    keep it possibly absent: the evidence is not reported impossible."""
 
     def test_tiny_eta(self):
         net = Network("c1", [disease("d", 0.5), finding("f", 0.0, 1)], [Edge("d", "f", 1e-20)])
@@ -500,6 +501,32 @@ class TestTinyParameters:
         for method in ("enumeration", "elimination", "auto"):
             result = posterior(net, {"f": True}, conjunction=["d"], method=method)
             assert result == PosteriorResult({"d": 0.5}, 1e-20, 0.5)
+
+    def test_near_certain_finding_observed_absent(self):
+        # P(f absent | d) is 2**-54, whose 1 - x rounds to 1.0
+        net = Network(
+            "c3", [disease("d", 1.0), finding("f", 1.0 - 2.0**-53, 1)], [Edge("d", "f", 0.5)]
+        )
+        assert joint_prob(net, {"d": True, "f": False}) == 2.0**-54
+        for method in ("enumeration", "elimination", "auto"):
+            result = posterior(net, {"f": False}, method=method)
+            assert result == PosteriorResult({"d": 1.0}, 2.0**-54)
+
+    def test_ordinary_etas_observed_absent(self):
+        # three present parents at eta 0.999999 leave f absent with about
+        # 1e-18, below 2**-53
+        net = Network(
+            "c4",
+            [*[disease(f"d{k}", 0.5) for k in range(3)], finding("f", 0.0, 1)],
+            [Edge(f"d{k}", "f", 0.999999) for k in range(3)],
+        )
+        z = oracle.exact_event_prob(net, {"f": False})
+        for method in ("enumeration", "elimination"):
+            result = posterior(net, {"f": False}, method=method)
+            assert abs(Fraction(result.evidence_likelihood) / z - 1) < 1e-12
+            for did, value in result.posteriors.items():
+                exact = oracle.exact_event_prob(net, {"f": False, did: True}) / z
+                assert abs(Fraction(value) - exact) <= 1e-12
 
 
 # x with 1 - x == 1.0, ordinary values and the certain 1.0
@@ -550,31 +577,171 @@ def test_evidence_error_iff_the_exact_likelihood_is_zero(
             assert abs(Fraction(value) - exact) <= 1e-12
 
 
+def _per_cell_table(net, nid, scope, held, row=None):
+    """P(nid | parents) over ``scope`` with one ``row_prob`` call per cell,
+    and ``row_absent`` where 1 - p cancels, every state bit set afresh;
+    ``row`` stands in for nid's compiled row."""
+    compiled = net.compiled
+    i = compiled.index[nid]
+    row = row or compiled.rows[i]
+    want = []
+    for idx in range(1 << len(scope)):
+        state = [False] * len(compiled.rows)
+        for v, value in [*held.items(), *[(v, (idx >> b) & 1) for b, v in enumerate(scope)]]:
+            state[compiled.index[v]] = value
+        p = row_prob(row, state)
+        want.append(p if state[i] else 1.0 - p or row_absent(row, state))
+    return want
+
+
 def test_node_tables_equal_a_per_cell_row_prob_loop():
-    # node tables set only the state bits that change from one cell to the
-    # next; the reference sets every bit of every cell
+    # node tables come from one product pass over the parents; the
+    # reference calls row_prob once per cell. The finding f sorts between
+    # its disease parents d.. and its intermediate parents i.., and etas and
+    # leaks of 1e-20 and 5e-324 give rows whose plain value cancels to 0.0;
+    # leaks and etas of 1 - 2**-53 give absent cells that cancel to 0.0
     rng = random.Random(1996)
+    tiny = (1e-20, 5e-324, 1.0 - 2.0**-53)
+    cancelled = 0
     for k in range(300):
-        parents = [f"d{j:02d}" for j in range(rng.randint(1, 12))]
+        diseases = [f"d{j:02d}" for j in range(rng.randint(0, 7))]
+        hidden = [f"i{j:02d}" for j in range(rng.randint(not diseases, 5))]
+        parents = diseases + hidden
         net = Network(
             "row",
-            [*[disease(d, 0.5) for d in parents], finding("f", rng.choice((0.0, 0.05)), 1)],
-            [Edge(d, "f", rng.choice((1.0, rng.random() or 1.0))) for d in parents],
+            [
+                *[disease(d, rng.choice((0.0, 0.5, 1.0))) for d in diseases],
+                *[ips(i, rng.choice((0.0, 0.3))) for i in hidden],
+                finding("f", rng.choice((0.0, 0.05, *tiny)), 1),
+            ],
+            [Edge(v, "f", rng.choice((1.0, rng.random() or 1.0, *tiny))) for v in parents],
         )
-        compiled = net.compiled
-        i = compiled.index["f"]
-        family = sorted(["f", *parents])
-        held = [(v, rng.random() < 0.5) for v in family if rng.random() < 0.4]
-        scope = [v for v in family if v not in dict(held)]
-        want = []
-        for idx in range(1 << len(scope)):
-            state = [False] * len(compiled.rows)
-            for v, value in held + [(v, (idx >> bit) & 1) for bit, v in enumerate(scope)]:
-                state[compiled.index[v]] = value
-            p = row_prob(compiled.rows[i], state)
-            want.append(p if state[i] else 1.0 - p)
-        got = inference._node_factor(net, "f", tuple(scope), dict(held))
-        assert list(map(float.hex, got)) == list(map(float.hex, want)), k
+        held = {v: rng.random() < 0.5 for v in ["f", *parents] if rng.random() < 0.4}
+        tables = [("f", held)]
+        # the node itself held at both values
+        tables += [("f", {**held, "f": value}) for value in (False, True)]
+        # disease rows, unfixed and held at both values
+        tables += [(d, {}) for d in diseases[:1]]
+        tables += [(d, {d: value}) for d in diseases[:1] for value in (False, True)]
+        head, base, row_parents = net.compiled.rows[net.compiled.index["f"]]
+        for nid, fixed in tables:
+            family = [nid, *parents] if nid == "f" else [nid]
+            scope = tuple([v for v in sorted(family) if v not in fixed])
+            got = inference._node_factor(net, nid, scope, dict(fixed))
+            want = _per_cell_table(net, nid, scope, fixed)
+            assert list(map(float.hex, got)) == list(map(float.hex, want)), (k, nid, fixed)
+            if nid == "f" and head:
+                plain = _per_cell_table(net, nid, scope, fixed, (False, base, row_parents))
+                cancelled += sum(a != b for a, b in zip(plain, want))
+    # the accurate forms took over in some cells
+    assert cancelled > 100
+
+
+def _plan_view(plan):
+    """A plan's entries, step getters and final slots, by value."""
+    nodes, steps, final = plan
+    return (
+        [(repr(read), nid, scope) for read, _, nid, scope in nodes],
+        [(repr(related), [repr(r) for r in reads]) for related, reads in steps],
+        final,
+    )
+
+
+def _planned(cache, kept, fixed, track):
+    """``inference._plans`` and, per fixed-id set, its plan by value with
+    the graph and the min-degree order it was planned from."""
+    seen = []
+    eliminate = inference.min_degree_elimination
+
+    def recorded(graph):
+        view = [(v, sorted(n)) for v, n in graph.items()]
+        seen.append((view, eliminate(graph)))
+        return seen[-1][1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(inference, "min_degree_elimination", recorded)
+        plans = inference._plans(cache, kept, fixed, track)
+    assert len(seen) == len(plans) == 1 + len(track)
+    views = {key: (_plan_view(plan), *s) for (key, plan), s in zip(plans.items(), seen)}
+    return plans, views
+
+
+class TestDerivedPlans:
+    """A tracked node's plan, derived from the skeleton of the evidence
+    pass, equals the plan made from a skeleton of its own fixed ids."""
+
+    def _check_derivations(self, net, evidence):
+        cache = inference._Elimination(net)
+        kept = inference._prune_barren(net, frozenset(evidence).union(cache.diseases))
+        plans, derived = _planned(cache, kept, evidence, cache.diseases)
+        for t in cache.diseases:
+            key = frozenset(evidence) | {t}
+            direct, views = _planned(cache, kept, {**evidence, t: True}, ())
+            assert derived[key] == views[key], (net.name, t)
+            # entries are shared with the direct plan's, not copied
+            assert all(a is b for a, b in zip(plans[key][0], direct[key][0]))
+
+    def _check_stored_plans(self, cache):
+        # every plan a query stored equals one made afresh for its fixed ids
+        fresh = inference._Elimination(cache.net)
+        for kept, plans, _ in cache.shapes.values():
+            for key, plan in plans.items():
+                want = inference._plans(fresh, kept, key, ())[key]
+                assert _plan_view(plan) == _plan_view(want), (cache.net.name, sorted(key))
+
+    def _posterior(self, cache, evidence, conj):
+        try:
+            inference._posterior(cache, evidence, conj, "elimination")
+        except EvidenceError:
+            pass
+
+    @pytest.mark.parametrize("fan", [(1, 2), (3, 4)])
+    def test_criterion_8_networks(self, fan):
+        net = criterion_8_net(fan)
+        cache = inference._Elimination(net)
+        conj = list(cache.diseases[:2])
+        for case in generate_cases(net, 20, seed=11):
+            for phase in range(1, 6):
+                evidence = case.cumulative_evidence(phase)
+                self._posterior(cache, evidence, conj)
+                if case.case_id < 2:
+                    self._check_derivations(net, evidence)
+        self._check_stored_plans(cache)
+
+    def test_degenerate_parameter_sweep_networks(self):
+        rng = random.Random(2013)
+        sweep = TestDegenerateParameterSweep()
+        for k in range(200):
+            net = sweep._net(rng, k)
+            findings = [n.id for n in net.nodes_of_kind(NodeKind.FINDING)]
+            diseases = [n.id for n in net.nodes_of_kind(NodeKind.DISEASE)]
+            cache = inference._Elimination(net)
+            for _ in range(3):
+                evidence = {fid: rng.random() < 0.5 for fid in findings if rng.random() < 0.7}
+                self._check_derivations(net, evidence)
+                self._posterior(cache, evidence, diseases[:1] if rng.random() < 0.5 else None)
+            self._check_stored_plans(cache)
+
+    def test_one_graph_per_evidence_id_set(self, monkeypatch):
+        graphs = []
+        build = inference.interaction_graph
+
+        def counted(variables, scopes):
+            graphs.append(variables)
+            return build(variables, scopes)
+
+        monkeypatch.setattr(inference, "interaction_graph", counted)
+        net = criterion_8_net((3, 4))
+        cache = inference._Elimination(net)
+        id_sets = set()
+        for case in generate_cases(net, 10, seed=11):
+            for phase in range(1, 6):
+                evidence = case.cumulative_evidence(phase)
+                id_sets.add(frozenset(evidence))
+                inference._posterior(cache, evidence, None, "elimination")
+        plans = sum(len(plans) for _, plans, _ in cache.shapes.values())
+        assert len(graphs) == len(id_sets) == 5
+        assert plans == len(id_sets) * (1 + len(cache.diseases))
 
 
 class TestEliminationReuse:
@@ -687,7 +854,7 @@ class TestEliminationReuse:
         net = criterion_8_net((3, 4))
         evidence = generate_cases(net, 1, seed=7)[0].cumulative_evidence(1)
         calls = []
-        for name in ("sum_product_maps", "min_degree_order"):
+        for name in ("sum_product_maps", "min_degree_elimination"):
             work = getattr(inference, name)
 
             def counted(*args, name=name, work=work):

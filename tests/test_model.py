@@ -21,7 +21,7 @@ from nornet import (
     sample_world,
     validate,
 )
-from nornet.model import row_prob
+from nornet.model import row_absent, row_prob
 
 from conftest import chain_net, criterion_8_net
 
@@ -306,6 +306,21 @@ class TestRowProb:
         assert _row_prob(_star(1e-20, [1e-200]), "f", set()) == 1e-20
         # no present parent and no leak: the exact value is 0
         assert _row_prob(_star(0.0, [1e-20, 1e-200]), "f", set()) == 0.0
+
+    def test_absent_side_keeps_a_product_below_2_to_the_minus_53(self):
+        net = _star(1.0 - 2.0**-53, [0.5])
+        compiled = net.compiled
+        row = compiled.rows[compiled.index["f"]]
+        for on, absent in (({"d0"}, 2.0**-54), (set(), 2.0**-53)):
+            state = [nid in on for nid in compiled.order]
+            assert row_absent(row, state) == absent
+        # 1 - p cancels only where p is 1.0, with d0 present
+        assert row_prob(row, [nid == "d0" for nid in compiled.order]) == 1.0
+        assert 1.0 - row_prob(row, [False, False]) == 2.0**-53
+        # a disease is absent with 1 - prior, and a certain leak never is
+        assert row_absent(compiled.rows[compiled.index["d0"]], []) == 0.9
+        certain = _star(1.0, [0.5]).compiled
+        assert row_absent(certain.rows[certain.index["f"]], [True, True]) == 0.0
 
     def test_only_rows_that_can_cancel_take_the_accurate_form(self):
         for fan in ((1, 2), (3, 4)):
