@@ -14,7 +14,9 @@ byte-identical for any worker count.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
+import os
+import pickle
+import signal
 from dataclasses import dataclass
 from functools import partial
 from math import ceil
@@ -156,8 +158,10 @@ def run_experiment(
 
     Inference uses variable elimination: the experiment evaluates
     thousands of queries, and the engines agree to within 1e-10 anyway
-    (enforced by the test suite). It starts ``min(jobs, n_cases)`` worker
-    processes, or none when that is 1; ``jobs`` below 1 is a DomainError.
+    (enforced by the test suite). The cases split into at most
+    ``min(jobs, n_cases)`` chunks: the calling process runs the first and
+    a child forked from it runs each other one (see :func:`_fork_join`),
+    so ``jobs=1`` never forks. ``jobs`` below 1 is a DomainError.
     """
     if jobs < 1:
         raise DomainError(f"jobs must be at least 1, got {jobs}")
@@ -171,18 +175,14 @@ def run_experiment(
     # so neither can answer for the other, though they share every id.
     # Every case fixes the same finding ids at a phase, so pruning, plans
     # and node tables repeat, and an engine answers a repeated query once.
-    # It dies with this call; in a pool, each chunk unpickles its own copy
-    # of both engines, networks included, with empty stores.
+    # It dies with this call; a forked child inherits both engines with
+    # their stores still empty, and its chunk's cases share them.
     evaluate = partial(_eval_case, engines=(_Elimination(full), _Elimination(reduced)))
-    workers = min(jobs, n_cases)
-    if workers == 1:
-        results = list(map(evaluate, tasks))
-    else:
-        # Every case runs the same five phases over the same finding ids, so
-        # every case costs the same elimination work: one chunk per worker
-        # balances the load, and the networks travel once per chunk.
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(evaluate, tasks, chunksize=ceil(n_cases / workers)))
+    # Every case runs the same five phases over the same finding ids, so
+    # every case costs the same elimination work: one chunk per process
+    # balances the load.
+    size = ceil(n_cases / min(jobs, n_cases))
+    results = _fork_join(evaluate, [tasks[i : i + size] for i in range(0, n_cases, size)])
 
     cells = []
     phase_rows = []
@@ -243,6 +243,60 @@ def run_experiment(
         param_count_original=report.param_count_original,
         param_count_reduced=report.param_count_reduced,
     )
+
+
+def _fork_join(fn, chunks):
+    """``fn`` of every task of ``chunks``, in order.
+
+    The calling process maps the first chunk itself; each other chunk
+    runs in a child made by ``os.fork``, which inherits ``fn`` and its
+    state, so nothing is pickled on the way in. A child pickles its
+    results, or the exception it raised, into a pipe and always leaves
+    through ``os._exit``, so it neither runs the caller's cleanup nor
+    flushes a copy of its buffered output. The caller re-raises a child's
+    exception, raises RuntimeError naming the wait status of a child that
+    sent nothing, and reaps every child, killing those left when it fails.
+    Without ``os.fork`` (Windows) every chunk runs in the calling process.
+    """
+    if not hasattr(os, "fork"):
+        return [fn(task) for chunk in chunks for task in chunk]
+    children = {}
+    try:
+        for chunk in chunks[1:]:
+            read, write = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                code = 1
+                try:
+                    os.close(read)
+                    try:
+                        data = pickle.dumps((True, [fn(task) for task in chunk]))
+                    except BaseException as exc:
+                        data = pickle.dumps((False, exc))
+                    with os.fdopen(write, "wb") as out:
+                        out.write(data)
+                    code = 0
+                finally:
+                    os._exit(code)
+            os.close(write)
+            children[pid] = read
+        results = [fn(task) for task in chunks[0]]
+        for pid in list(children):
+            with os.fdopen(children.pop(pid), "rb") as pipe:
+                data = pipe.read()
+            _, status = os.waitpid(pid, 0)
+            if not data:
+                raise RuntimeError(f"forked child sent no result (wait status {status})")
+            ok, value = pickle.loads(data)
+            if not ok:
+                raise value
+            results.extend(value)
+        return results
+    finally:
+        for pid, read in children.items():
+            os.close(read)
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
 
 
 def _mean(values: list[float]) -> float | None:

@@ -5,6 +5,7 @@ import pickle
 import subprocess
 import sys
 import textwrap
+import time
 from pathlib import Path
 
 import pytest
@@ -12,11 +13,12 @@ import pytest
 import oracle
 from conftest import chain_net, criterion_8_net, random_unit_fan_net
 import nornet
-from nornet import inference
-from nornet.experiment import _eval_case
+from nornet import experiment, inference
+from nornet.experiment import _eval_case, _fork_join
 from nornet import (
     DomainError,
     Edge,
+    EvidenceError,
     ExhaustionError,
     GeneratorConfig,
     Network,
@@ -134,6 +136,24 @@ def _toy_two_phase_chain() -> Network:
     )
 
 
+def _run_python(code):
+    """Run ``code`` in a child interpreter that imports this nornet, with
+    stdout block-buffered into a pipe."""
+    src = str(Path(nornet.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = path
+    return subprocess.run(
+        [sys.executable, "-c", textwrap.dedent(code)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 def _hex_line(result) -> str:
     """Every posterior and the likelihood of ``result`` as ``float.hex``."""
     posts = " ".join(f"{d}={v.hex()}" for d, v in sorted(result.posteriors.items()))
@@ -198,7 +218,8 @@ class TestRunExperiment:
         assert report_csv(serial) == report_csv(parallel)
 
     def test_network_with_cached_compiled_form_survives_pickle(self):
-        # worker processes receive networks pickled, caches included
+        # run_experiment's forked children inherit networks; a caller that
+        # ships one to another process pickles it, caches included
         net = generate_network(GeneratorConfig(2, 3, 10, seed=6))
         evidence = dict(generate_cases(net, 1, seed=6)[0].cumulative_evidence(3))
         methods = ("enumeration", "elimination")
@@ -276,34 +297,32 @@ class TestRunExperiment:
                 run_experiment(net, 5, seed=0, jobs=0)
 
     @pytest.mark.parametrize(
-        "jobs, n_cases, built",
-        [(8, 5, [(5, 1)]), (2, 5, [(2, 3)]), (2, 1, [])],
+        "jobs, n_cases, chunks, forks",
+        [(8, 5, [1] * 5, 4), (2, 5, [3, 2], 1), (2, 1, [1], 0)],
     )
-    def test_pool_size_and_chunks(self, monkeypatch, jobs, n_cases, built):
-        # a fake executor records its size and chunking and maps in-process
-        pools = []
+    def test_chunks_and_forks(self, monkeypatch, jobs, n_cases, chunks, forks):
+        # the caller runs the first chunk, and one forked child each other
+        sizes, pids = [], []
+        real_fork, real_fork_join = os.fork, experiment._fork_join
 
-        class RecordingExecutor:
-            def __init__(self, max_workers):
-                self.max_workers = max_workers
-                pools.append(self)
+        def counted_fork():
+            pid = real_fork()
+            if pid:
+                pids.append(pid)
+            return pid
 
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc_info):
-                return False
-
-            def map(self, fn, tasks, chunksize=1):
-                self.chunksize = chunksize
-                return map(fn, tasks)
+        def recorded_fork_join(fn, chunked):
+            sizes.extend(len(chunk) for chunk in chunked)
+            return real_fork_join(fn, chunked)
 
         net = generate_network(GeneratorConfig(2, 3, 10, seed=6))
         serial = report_csv(run_experiment(net, n_cases, seed=6))
-        monkeypatch.setattr("nornet.experiment.ProcessPoolExecutor", RecordingExecutor)
-        pooled = report_csv(run_experiment(net, n_cases, seed=6, jobs=jobs))
-        assert [(p.max_workers, p.chunksize) for p in pools] == built
-        assert pooled == serial
+        monkeypatch.setattr(os, "fork", counted_fork)
+        monkeypatch.setattr(experiment, "_fork_join", recorded_fork_join)
+        forked = report_csv(run_experiment(net, n_cases, seed=6, jobs=jobs))
+        assert (sizes, len(pids)) == (chunks, forks)
+        assert forked == serial
+        _assert_no_child_left()
 
     def test_elimination_work_does_not_grow_with_cases(self, monkeypatch):
         # node tables and orderings are counted where nornet.inference calls
@@ -357,30 +376,43 @@ class TestRunExperiment:
         assert rows[4][0]["d002"] == pytest.approx(0.1872, abs=1e-4)
         assert rows[4][1]["d002"] == pytest.approx(0.5139, abs=1e-4)
 
-    def test_spawned_workers_give_the_serial_report(self):
-        # spawn, the default start method on macOS and Windows, pickles the
-        # networks with each chunk; run it in a child interpreter so this
-        # process keeps its own start method
-        code = textwrap.dedent(
+    def test_without_fork_every_chunk_runs_in_process(self):
+        # where os has no fork (Windows), jobs changes nothing but speed;
+        # an audit hook sees any process start in the child interpreter
+        done = _run_python(
             """
-            import json, multiprocessing
+            import json, os, sys
+            del os.fork
+            started = []
+            kinds = ("os.fork", "os.posix_spawn", "os.spawn", "os.system", "os.exec",
+                     "subprocess.Popen")
+            sys.addaudithook(lambda event, args: event.startswith(kinds) and started.append(event))
             from nornet import GeneratorConfig, generate_network, report_csv, run_experiment
-            multiprocessing.set_start_method("spawn")
             net = generate_network(GeneratorConfig(2, 3, 10, seed=6))
             reports = [report_csv(run_experiment(net, 12, seed=6, jobs=j)) for j in (1, 2)]
-            print(json.dumps(reports))
+            print(json.dumps([started, *reports]))
             """
         )
-        src = str(Path(nornet.__file__).resolve().parents[1])
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        env = {**os.environ, "PYTHONPATH": path}
-        done = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+        assert done.returncode == 0, done.stderr
+        started, serial, unforked = json.loads(done.stdout)
+        assert started == []
+        assert serial.startswith("phase,")
+        assert unforked == serial
+
+    def test_children_leave_buffered_stdout_unflushed(self):
+        # a child that left through sys.exit would flush its copy of the
+        # caller's unflushed "before"
+        done = _run_python(
+            """
+            from nornet import GeneratorConfig, generate_network, run_experiment
+            net = generate_network(GeneratorConfig(2, 3, 10, seed=6))
+            print("before")
+            run_experiment(net, 12, 6, jobs=3)
+            print("after")
+            """
         )
         assert done.returncode == 0, done.stderr
-        serial, spawned = json.loads(done.stdout)
-        assert serial.startswith("phase,")
-        assert spawned == serial
+        assert done.stdout == "before\nafter\n"
 
     def test_unit_fan_networks_give_exactly_zero_t(self):
         for seed in (1, 3, 5):
@@ -433,3 +465,49 @@ class TestRunExperiment:
         assert cell.n_present == len(tp_three)
         assert cell.mean_tp_three == pytest.approx(oracle.mean(tp_three), abs=1e-12)
         assert cell.mean_tp_two == pytest.approx(oracle.mean(tp_two), abs=1e-12)
+
+
+def _fail_on(bad, exc):
+    """A task function that raises ``exc`` on task ``bad`` and sleeps a
+    minute on every task above it."""
+
+    def fn(task):
+        if task == bad:
+            raise exc
+        if task > bad:
+            time.sleep(60)
+        return task
+
+    return fn
+
+
+class TestForkJoin:
+    def test_results_keep_chunk_order(self):
+        # a lambda cannot be pickled: the children inherit it
+        assert _fork_join(lambda task: task * task, [[1, 2], [3, 4], [5]]) == [1, 4, 9, 16, 25]
+        _assert_no_child_left()
+
+    def test_a_childs_exception_reaches_the_caller(self):
+        with pytest.raises(DomainError) as raised:
+            _fork_join(_fail_on(2, DomainError("task 2 is out of range")), [[1], [2]])
+        assert raised.type is DomainError
+        assert str(raised.value) == "task 2 is out of range"
+        _assert_no_child_left()
+
+    def test_a_failure_in_the_callers_chunk_reaps_every_child(self):
+        # the children would sleep a minute each; they are killed instead
+        start = time.monotonic()
+        with pytest.raises(EvidenceError, match="^caller$"):
+            _fork_join(_fail_on(1, EvidenceError("caller")), [[1], [2], [3]])
+        assert time.monotonic() - start < 30
+        _assert_no_child_left()
+
+    def test_a_child_that_sends_nothing_names_its_wait_status(self):
+        def fn(task):
+            if task == 2:
+                os._exit(3)
+            return task
+
+        with pytest.raises(RuntimeError, match=r"wait status 768\b"):
+            _fork_join(fn, [[1], [2]])
+        _assert_no_child_left()
