@@ -43,13 +43,17 @@ class ValidationError(NornetError):
 
 
 class ParseError(NornetError):
-    """A network file could not be parsed; ``line`` is 1-based."""
+    """A network file could not be parsed; ``line`` is 1-based. ``args``
+    holds ``(line, message)``, so the error survives pickling."""
 
     code = "parse"
 
     def __init__(self, line, message):
-        super().__init__(f"line {line}: {message}")
+        super().__init__(line, message)
         self.line = line
+
+    def __str__(self) -> str:
+        return f"line {self.line}: {self.args[1]}"
 
 
 class EvidenceError(NornetError):

@@ -50,7 +50,7 @@ from operator import itemgetter
 from .errors import DomainError, EvidenceError, IncompleteAssignmentError
 from .factors import getter, interaction_graph, min_degree_elimination
 from .factors import sum_product_maps, sum_product_values
-from .model import Network, NodeKind, row_absent, row_prob
+from .model import Network, NodeKind, row_prob
 
 DEFAULT_ENUMERATION_THRESHOLD = 9
 DEFAULT_MAX_FACTOR_PARENTS = 12
@@ -83,8 +83,7 @@ def joint_prob(net: Network, full_assignment: Mapping) -> float:
     state = [full_assignment[nid] for nid in compiled.order]
     prob = 1.0
     for row, value in zip(compiled.rows, state):
-        p = row_prob(row, state)
-        prob *= p if value else 1.0 - p or row_absent(row, state)
+        prob *= row_prob(row, state, value)
     return prob
 
 
@@ -135,25 +134,20 @@ def _enum_query(net, kept_order, fixed, track):
                     masses[m] += w
             return
         i, fval = steps[k]
-        p = row_prob(rows[i], state)
         if fval is None:
+            p = row_prob(rows[i], state)
             if p > 0.0:
                 state[i] = True
                 rec(k + 1, w * p)
-            q = 1.0 - p or row_absent(rows[i], state)
+            q = row_prob(rows[i], state, False)
             if q > 0.0:
                 state[i] = False
                 rec(k + 1, w * q)
         else:
             state[i] = fval
-            nw = w * (p if fval else 1.0 - p)
+            nw = w * row_prob(rows[i], state, fval)
             if nw != 0.0:
                 rec(k + 1, nw)
-            elif p == 1.0 and not fval:
-                # 1 - p cancelled to 0.0; the common path above does no more work
-                nw = w * row_absent(rows[i], state)
-                if nw != 0.0:
-                    rec(k + 1, nw)
 
     rec(0, 1.0)
     return total, dict(zip(track, masses))
@@ -198,9 +192,9 @@ def _node_factor(net, nid, scope, held):
     """The table of P(nid | parents) in ``net`` over ``scope``, its unfixed
     family, with the rest of the family held at its values in ``held``,
     which may map other ids too. One pass over the parents in row order
-    forms :func:`row_prob`'s product for every cell at once; a row whose
-    ``head`` holds its leak and etas takes the cells that cancel to 0.0
-    from :func:`row_prob` itself."""
+    forms :func:`row_prob`'s product for every cell at once; the cells
+    where either side cancels to 0.0 take both sides from :func:`row_prob`
+    itself, the only code that knows how a row forms them there."""
     compiled = net.compiled
     head, base, parents = row = compiled.rows[compiled.index[nid]]
     cells, free = [base], []
@@ -212,16 +206,14 @@ def _node_factor(net, nid, scope, held):
         elif held.get(pid, False):
             cells = [c * one_minus_eta for c in cells]
     present = cells if head is True else [1.0 - c for c in cells]
-    if head and head is not True and 0.0 in present:
+    absent = [1.0 - p for p in present]
+    if (head and 0.0 in present) or 0.0 in absent:
         state = [held.get(v, False) for v in compiled.order]
-        for idx in [idx for idx, p in enumerate(present) if p == 0.0]:
+        for idx in [idx for idx, (p, q) in enumerate(zip(present, absent)) if p == 0.0 or q == 0.0]:
             for bit, j in enumerate(free):
                 state[j] = (idx >> bit) & 1
             present[idx] = row_prob(row, state)
-    absent = [1.0 - p for p in present]
-    if head is not True and 0.0 in absent:
-        # row_absent's product where 1 - p cancels: the cell itself
-        absent = [q or c for q, c in zip(absent, cells)]
+            absent[idx] = row_prob(row, state, False)
     if nid not in scope:
         return present if held.get(nid, False) else absent
     step = 1 << scope.index(nid)

@@ -263,10 +263,10 @@ class CompiledNetwork(NamedTuple):
     order, every parent row before its child's. ``head`` is True for a
     disease and False for any other node, unless its leak or an eta is an
     x > 0 with ``1 - x == 1.0``: then it holds ``(leak, *etas)``, in the
-    order of ``parents``, for :func:`row_prob`'s accurate form. Sampling,
-    ``joint_prob``, enumeration and factor building all form a row's
-    products as :func:`row_prob` does, the same doubles in the same order,
-    so they agree bit for bit.
+    order of ``parents``, for :func:`row_prob`'s accurate present side.
+    Sampling, ``joint_prob`` and enumeration call :func:`row_prob`; factor
+    building forms its products, the same doubles in the same order, and
+    calls it only for the cells that cancel, so all agree bit for bit.
     """
 
     order: tuple[str, ...]
@@ -274,45 +274,31 @@ class CompiledNetwork(NamedTuple):
     rows: tuple[tuple[bool | tuple[float, ...], float, tuple[tuple[int, float], ...]], ...]
 
 
-def row_prob(row: tuple, state: Sequence) -> float:
-    """P(node present) for one :class:`CompiledNetwork` row, given
+def row_prob(row: tuple, state: Sequence, value=True) -> float:
+    """P(node = ``value``) for one :class:`CompiledNetwork` row, given
     ``state`` indexed by row, whose entries for the row's parents are set
-    (truthy means present). A disease returns its prior as is. Any other
-    node returns 1 - (1 - leak) * prod(1 - eta) over its present parents,
-    except where that cancels to 0.0 while a present parent or the leak
-    makes the exact value positive: only a row whose ``head`` holds its
-    leak and etas can, and it returns :func:`one_minus_prod` of those."""
-    head, base, parents = row
-    if head:
-        return base if head is True else _accurate_row_prob(row, state)
-    for j, one_minus_eta in parents:
-        if state[j]:
-            base *= one_minus_eta
-    return 1.0 - base
-
-
-def row_absent(row: tuple, state: Sequence) -> float:
-    """P(node absent) for one :class:`CompiledNetwork` row where 1 minus
-    its :func:`row_prob` cancels to 0.0: (1 - leak) * prod(1 - eta) over
-    the present parents as :func:`row_prob` forms it, or 1 - prior for a
-    disease. Elsewhere callers take 1 - p, so no other bit moves."""
+    (truthy means present). A disease returns its prior or 1 - prior. Any
+    other node forms c = (1 - leak) * prod(1 - eta) over its present
+    parents and is present with p = 1 - c, except where p cancels to 0.0
+    while a present parent or the leak makes the exact value positive:
+    only a row whose ``head`` holds its leak and etas can, and p is then
+    :func:`one_minus_prod` of those. It is absent with 1 - p, or with c
+    where that cancels to 0.0. This is the one place that decides it."""
     head, base, parents = row
     if head is True:
-        return 1.0 - base
+        return base if value else 1.0 - base
     for j, one_minus_eta in parents:
         if state[j]:
             base *= one_minus_eta
-    return base
-
-
-def _accurate_row_prob(row: tuple, state: Sequence) -> float:
-    """:func:`row_prob` of a row whose leak or some eta is too small to
-    leave 1 - x below 1.0, and whose ``head`` is ``(leak, *etas)``."""
-    xs, base, parents = row
-    plain = row_prob((False, base, parents), state)
-    if plain != 0.0:
-        return plain
-    return one_minus_prod([xs[0], *[eta for (j, _), eta in zip(parents, xs[1:]) if state[j]]])
+    p = 1.0 - base
+    if head and p == 0.0:
+        # a comprehension here would make ``state`` a cell, slowing every call
+        xs = [head[0]]
+        for (j, _), eta in zip(parents, head[1:]):
+            if state[j]:
+                xs.append(eta)
+        p = one_minus_prod(xs)
+    return p if value else 1.0 - p or base
 
 
 def validate(net: Network) -> list[Violation]:

@@ -23,7 +23,10 @@ from nornet import (
     GeneratorConfig,
     Network,
     NodeKind,
+    NornetError,
+    ParseError,
     ValidationError,
+    Violation,
     disease,
     finding,
     generate_cases,
@@ -467,6 +470,11 @@ class TestRunExperiment:
         assert cell.mean_tp_two == pytest.approx(oracle.mean(tp_two), abs=1e-12)
 
 
+def _subclasses(cls):
+    """Every class below ``cls``, at any depth."""
+    return {sub for direct in cls.__subclasses__() for sub in (direct, *_subclasses(direct))}
+
+
 def _fail_on(bad, exc):
     """A task function that raises ``exc`` on task ``bad`` and sleeps a
     minute on every task above it."""
@@ -488,11 +496,28 @@ class TestForkJoin:
         _assert_no_child_left()
 
     def test_a_childs_exception_reaches_the_caller(self):
-        with pytest.raises(DomainError) as raised:
-            _fork_join(_fail_on(2, DomainError("task 2 is out of range")), [[1], [2]])
-        assert raised.type is DomainError
-        assert str(raised.value) == "task 2 is out of range"
-        _assert_no_child_left()
+        for exc, text in (
+            (DomainError("task 2 is out of range"), "task 2 is out of range"),
+            (ParseError(3, "bad"), "line 3: bad"),
+        ):
+            with pytest.raises(type(exc)) as raised:
+                _fork_join(_fail_on(2, exc), [[1], [2]])
+            assert raised.type is type(exc)
+            assert str(raised.value) == text
+            assert getattr(raised.value, "line", None) == getattr(exc, "line", None)
+            _assert_no_child_left()
+
+    def test_every_error_survives_pickle(self):
+        # a child sends its exception back pickled
+        violation = Violation("dag", "n", "edge relation contains a cycle")
+        errors = [NornetError("x"), ParseError(3, "bad"), ValidationError("v", [violation])]
+        errors += [cls("x") for cls in _subclasses(NornetError) - {ParseError, ValidationError}]
+        for exc in errors:
+            back = pickle.loads(pickle.dumps(exc))
+            assert type(back) is type(exc)
+            assert (str(back), back.code) == (str(exc), exc.code)
+            assert getattr(back, "line", None) == getattr(exc, "line", None)
+            assert getattr(back, "violations", None) == getattr(exc, "violations", None)
 
     def test_a_failure_in_the_callers_chunk_reaps_every_child(self):
         # the children would sleep a minute each; they are killed instead

@@ -30,7 +30,7 @@ from nornet import (
     marginal,
     posterior,
 )
-from nornet.model import row_absent, row_prob
+from nornet.model import row_prob
 
 
 def _shared_finding_net(priors, eta=0.3):
@@ -512,6 +512,19 @@ class TestTinyParameters:
             result = posterior(net, {"f": False}, method=method)
             assert result == PosteriorResult({"d": 1.0}, 2.0**-54)
 
+    def test_hidden_node_absent_below_2_to_the_minus_53(self):
+        # f is absent only where i is, with 2**-54 or 2**-53: enumeration's
+        # unfixed absent side and the table of hidden i decide it is possible
+        net = Network(
+            "c5",
+            [disease("d", 0.5), ips("i", 1.0 - 2.0**-53), finding("f", 0.0, 1)],
+            [Edge("d", "i", 0.5), Edge("i", "f", 1.0)],
+        )
+        assert joint_prob(net, {"d": True, "i": False, "f": False}) == 2.0**-55
+        for method in ("enumeration", "elimination", "auto"):
+            result = posterior(net, {"f": False}, method=method)
+            assert result == PosteriorResult({"d": 1 / 3}, 3 * 2.0**-55)
+
     def test_ordinary_etas_observed_absent(self):
         # three present parents at eta 0.999999 leave f absent with about
         # 1e-18, below 2**-53
@@ -579,8 +592,7 @@ def test_evidence_error_iff_the_exact_likelihood_is_zero(
 
 def _per_cell_table(net, nid, scope, held, row=None):
     """P(nid | parents) over ``scope`` with one ``row_prob`` call per cell,
-    and ``row_absent`` where 1 - p cancels, every state bit set afresh;
-    ``row`` stands in for nid's compiled row."""
+    every state bit set afresh; ``row`` stands in for nid's compiled row."""
     compiled = net.compiled
     i = compiled.index[nid]
     row = row or compiled.rows[i]
@@ -589,8 +601,7 @@ def _per_cell_table(net, nid, scope, held, row=None):
         state = [False] * len(compiled.rows)
         for v, value in [*held.items(), *[(v, (idx >> b) & 1) for b, v in enumerate(scope)]]:
             state[compiled.index[v]] = value
-        p = row_prob(row, state)
-        want.append(p if state[i] else 1.0 - p or row_absent(row, state))
+        want.append(row_prob(row, state, state[i]))
     return want
 
 

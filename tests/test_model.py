@@ -21,7 +21,7 @@ from nornet import (
     sample_world,
     validate,
 )
-from nornet.model import row_absent, row_prob
+from nornet.model import row_prob
 
 from conftest import chain_net, criterion_8_net
 
@@ -313,14 +313,14 @@ class TestRowProb:
         row = compiled.rows[compiled.index["f"]]
         for on, absent in (({"d0"}, 2.0**-54), (set(), 2.0**-53)):
             state = [nid in on for nid in compiled.order]
-            assert row_absent(row, state) == absent
+            assert row_prob(row, state, False) == absent
         # 1 - p cancels only where p is 1.0, with d0 present
         assert row_prob(row, [nid == "d0" for nid in compiled.order]) == 1.0
         assert 1.0 - row_prob(row, [False, False]) == 2.0**-53
         # a disease is absent with 1 - prior, and a certain leak never is
-        assert row_absent(compiled.rows[compiled.index["d0"]], []) == 0.9
+        assert row_prob(compiled.rows[compiled.index["d0"]], [], False) == 0.9
         certain = _star(1.0, [0.5]).compiled
-        assert row_absent(certain.rows[certain.index["f"]], [True, True]) == 0.0
+        assert row_prob(certain.rows[certain.index["f"]], [True, True], False) == 0.0
 
     def test_only_rows_that_can_cancel_take_the_accurate_form(self):
         for fan in ((1, 2), (3, 4)):
