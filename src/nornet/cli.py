@@ -207,17 +207,19 @@ def _write(path: str, content: str) -> None:
 
 
 def _int_range(token: str) -> tuple[int, int]:
-    lo, sep, hi = token.partition("..")
-    if not sep:
-        raise argparse.ArgumentTypeError(f"expected a..b, got {token!r}")
-    return int(lo), int(hi)
+    try:
+        lo, hi = token.split("..")
+        return int(lo), int(hi)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a..b, got {token!r}") from None
 
 
 def _float_range(token: str) -> tuple[float, float]:
-    lo, sep, hi = token.partition("..")
-    if not sep:
-        raise argparse.ArgumentTypeError(f"expected lo..hi, got {token!r}")
-    return float(lo), float(hi)
+    try:
+        lo, hi = token.split("..")
+        return float(lo), float(hi)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected lo..hi, got {token!r}") from None
 
 
 def _evidence(token: str) -> dict[str, bool]:

@@ -7,10 +7,10 @@ plan can build the symbolic one once and run the numeric one per query:
 :func:`sum_product_maps` depends on scopes only and gives per factor the
 ``operator.itemgetter`` that :func:`sum_product_values` reads it with.
 
-A factor is a scope, a sorted tuple of node ids, and a table, a flat list
-of 2**k floats; bit i of a table index is the state of scope variable i.
-Everything here is deterministic: scopes are kept sorted and ordering ties
-break on ascending id.
+A factor is a scope, a tuple of distinct node ids in any order, and a
+table, a flat list of 2**k floats; bit i of a table index is the state of
+scope variable i. Everything here is deterministic: a step's output scope
+is sorted and ordering ties break on ascending id.
 """
 
 from __future__ import annotations

@@ -167,14 +167,15 @@ class _Elimination:
     An answer's key is the fixed values over the kept order, ``None`` where
     a node is not fixed, so it copies neither the evidence nor the id set.
 
-    ``nodes`` maps a node to its family (itself, then its parents) and its
-    plan entries ``(read, tables, nid, scope)`` keyed by fixed family ids:
-    the getter of the fixed values (a bare value for one id, ``()`` for
-    none), the tables keyed by those values, and the unfixed family
-    sorted. Under noisy-OR a table depends on nothing else, so every query
-    that fixes the same family members to the same values shares it. The
-    ids belong in the key: a finding with parents ``d1`` and ``d2`` fixes
-    (``d1``, itself) in one disease pass and (``d2``, itself) in another.
+    ``nodes`` maps a node to its family (its parents in row order, then
+    itself) and its plan entries ``(read, tables, nid, scope)`` keyed by
+    fixed family ids: the getter of the fixed values (a bare value for one
+    id, ``()`` for none), the tables keyed by those values, and the unfixed
+    family in order, the node's bit on top. Under noisy-OR a table depends
+    on nothing else, so every query that fixes the same family members to
+    the same values shares it. The ids belong in the key: a finding with
+    parents ``d1`` and ``d2`` fixes (``d1``, itself) in one disease pass
+    and (``d2``, itself) in another.
 
     ``steps`` maps a step's (input scopes, variable) to its output scope
     and one getter per input: the 1 + |diseases| plans of one evidence id
@@ -189,20 +190,19 @@ class _Elimination:
 
 
 def _node_factor(net, nid, scope, held):
-    """The table of P(nid | parents) in ``net`` over ``scope``, its unfixed
-    family, with the rest of the family held at its values in ``held``,
-    which may map other ids too. One pass over the parents in row order
-    forms :func:`row_prob`'s product for every cell at once; the cells
-    where either side cancels to 0.0 take both sides from :func:`row_prob`
-    itself, the only code that knows how a row forms them there."""
+    """The table of P(nid | parents) in ``net`` over ``scope``, the unfixed
+    part of its family, with the rest held at its values in ``held``, which
+    may map other ids too. One pass over the parents in row order forms
+    :func:`row_prob`'s product for every cell, so an unfixed nid's bit is the
+    top one. Where either side of a cell is 0.0, :func:`row_prob` forms both:
+    its accurate p for a 0.0 present side moves the absent side off 1.0 too."""
     compiled = net.compiled
     head, base, parents = row = compiled.rows[compiled.index[nid]]
-    cells, free = [base], []
+    cells = [base]
     for j, one_minus_eta in parents:
         pid = compiled.order[j]
         if pid in scope:
             cells += [c * one_minus_eta for c in cells]
-            free.append(j)
         elif held.get(pid, False):
             cells = [c * one_minus_eta for c in cells]
     present = cells if head is True else [1.0 - c for c in cells]
@@ -210,17 +210,13 @@ def _node_factor(net, nid, scope, held):
     if (head and 0.0 in present) or 0.0 in absent:
         state = [held.get(v, False) for v in compiled.order]
         for idx in [idx for idx, (p, q) in enumerate(zip(present, absent)) if p == 0.0 or q == 0.0]:
-            for bit, j in enumerate(free):
-                state[j] = (idx >> bit) & 1
+            for bit, v in enumerate(scope):
+                state[compiled.index[v]] = (idx >> bit) & 1
             present[idx] = row_prob(row, state)
             absent[idx] = row_prob(row, state, False)
-    if nid not in scope:
-        return present if held.get(nid, False) else absent
-    step = 1 << scope.index(nid)
-    values = []
-    for k in range(0, len(present), step):
-        values += absent[k : k + step] + present[k : k + step]
-    return values
+    if nid in scope:
+        return absent + present
+    return present if held.get(nid, False) else absent
 
 
 def _no_ids(_):
@@ -230,22 +226,22 @@ def _no_ids(_):
 
 def _entry(cache, nid, fixed):
     """The plan entry of kept node ``nid`` for the ``fixed`` ids of its
-    family, made in ``cache.nodes`` on first use."""
+    family, its parents in row order and then itself, made in
+    ``cache.nodes`` on first use."""
     node = cache.nodes.get(nid)
     if node is None:
-        compiled = cache.net.compiled
-        parents = compiled.rows[compiled.index[nid]][2]
+        parents = cache.net.parents_of(nid)
         if len(parents) > DEFAULT_MAX_FACTOR_PARENTS:
             raise DomainError(
                 f"node {nid!r} has {len(parents)} parents; elimination materializes "
                 f"full tables only up to {DEFAULT_MAX_FACTOR_PARENTS} parents"
             )
-        node = cache.nodes[nid] = (nid, *[compiled.order[j] for j, _ in parents]), {}
+        node = cache.nodes[nid] = (*[pid for pid, _ in parents], nid), {}
     family, entries = node
     ids = tuple([v for v in family if v in fixed])
     entry = entries.get(ids)
     if entry is None:
-        scope = tuple([v for v in sorted(family) if v not in fixed])
+        scope = tuple([v for v in family if v not in fixed])
         entry = entries[ids] = itemgetter(*ids) if ids else _no_ids, {}, nid, scope
     return entry
 
@@ -336,10 +332,9 @@ def _query(cache, fixed, track, method):
     unobserved = len(kept) - len(fixed)
     if method == "auto":
         # the parent counts matter only where elimination would run
-        rows, index = net.compiled.rows, net.compiled.index
         limit = DEFAULT_ENUMERATION_THRESHOLD
         if limit < unobserved <= _WIDE_ENUMERATION_LIMIT and any(
-            len(rows[index[nid]][2]) > DEFAULT_MAX_FACTOR_PARENTS for nid in kept
+            len(net.parents_of(nid)) > DEFAULT_MAX_FACTOR_PARENTS for nid in kept
         ):
             limit = _WIDE_ENUMERATION_LIMIT
         method = "enumeration" if unobserved <= limit else "elimination"

@@ -265,8 +265,9 @@ class CompiledNetwork(NamedTuple):
     x > 0 with ``1 - x == 1.0``: then it holds ``(leak, *etas)``, in the
     order of ``parents``, for :func:`row_prob`'s accurate present side.
     Sampling, ``joint_prob`` and enumeration call :func:`row_prob`; factor
-    building forms its products, the same doubles in the same order, and
-    calls it only for the cells that cancel, so all agree bit for bit.
+    building forms its products, the same doubles in the same order, over
+    ``parents`` with the node's own bit on top, and calls it only for the
+    cells where a side is 0.0, so all agree bit for bit.
     """
 
     order: tuple[str, ...]

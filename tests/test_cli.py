@@ -142,6 +142,9 @@ class TestGenCommand:
         [
             ("--fan-in", "3", "expected a..b, got '3'"),
             ("--eta", "0.5", "expected lo..hi, got '0.5'"),
+            # a bound that does not parse gets the same message
+            ("--fan-in", "1..x", "expected a..b, got '1..x'"),
+            ("--eta", "0.5..", "expected lo..hi, got '0.5..'"),
         ],
     )
     def test_range_without_dots_is_usage_error(self, tmp_path, capsys, flag, value, message):

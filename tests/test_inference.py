@@ -608,11 +608,14 @@ def _per_cell_table(net, nid, scope, held, row=None):
 def test_node_tables_equal_a_per_cell_row_prob_loop():
     # node tables come from one product pass over the parents; the
     # reference calls row_prob once per cell. The finding f sorts between
-    # its disease parents d.. and its intermediate parents i.., and etas and
-    # leaks of 1e-20 and 5e-324 give rows whose plain value cancels to 0.0;
-    # leaks and etas of 1 - 2**-53 give absent cells that cancel to 0.0
+    # its disease parents d.. and its intermediate parents i.., so its scope
+    # is not sorted: its family order puts f's own bit on top. Etas and
+    # leaks of 1e-20, 5e-324 and 5e-17 give rows whose plain value cancels
+    # to 0.0, and two of 5e-17 an accurate p with 1 - p below 1.0, so the
+    # absent side departs from the product too; leaks and etas of
+    # 1 - 2**-53 give absent cells that cancel to 0.0
     rng = random.Random(1996)
-    tiny = (1e-20, 5e-324, 1.0 - 2.0**-53)
+    tiny = (1e-20, 5e-324, 5e-17, 1.0 - 2.0**-53)
     cancelled = 0
     for k in range(300):
         diseases = [f"d{j:02d}" for j in range(rng.randint(0, 7))]
@@ -636,11 +639,18 @@ def test_node_tables_equal_a_per_cell_row_prob_loop():
         tables += [(d, {d: value}) for d in diseases[:1] for value in (False, True)]
         head, base, row_parents = net.compiled.rows[net.compiled.index["f"]]
         for nid, fixed in tables:
-            family = [nid, *parents] if nid == "f" else [nid]
-            scope = tuple([v for v in sorted(family) if v not in fixed])
+            family = [*parents, nid] if nid == "f" else [nid]
+            scope = tuple([v for v in family if v not in fixed])
             got = inference._node_factor(net, nid, scope, dict(fixed))
             want = _per_cell_table(net, nid, scope, fixed)
             assert list(map(float.hex, got)) == list(map(float.hex, want)), (k, nid, fixed)
+            if nid == "f" and "f" not in fixed:
+                # f's own bit is the top one: f held absent, then held present
+                absent, present = [
+                    inference._node_factor(net, nid, scope[:-1], {**fixed, nid: value})
+                    for value in (False, True)
+                ]
+                assert list(map(float.hex, got)) == list(map(float.hex, absent + present)), k
             if nid == "f" and head:
                 plain = _per_cell_table(net, nid, scope, fixed, (False, base, row_parents))
                 cancelled += sum(a != b for a, b in zip(plain, want))
