@@ -20,7 +20,7 @@ from collections.abc import Iterable
 
 from .errors import DomainError, ParseError
 from .experiment import ExperimentSummary, TestCase
-from .model import PHASES, Edge, Network, Node, NodeKind, local_violations
+from .model import PHASES, Edge, Network, Node, NodeKind
 from .reduction import ReductionReport
 
 FORMAT_NAME = "nornet"
@@ -140,10 +140,9 @@ def _parse_fields(lineno, fields, types):
 
 
 def _checked(lineno, item):
-    """``item``, or a ParseError with the first rule of ``local_violations`` it breaks."""
-    broken = local_violations(item)
-    if broken:
-        raise ParseError(lineno, broken[0].message)
+    """``item``, or a ParseError with the first of its ``violations``."""
+    if item.violations:
+        raise ParseError(lineno, item.violations[0].message)
     return item
 
 

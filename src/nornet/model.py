@@ -19,7 +19,7 @@ import heapq
 import math
 import re
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from operator import itemgetter
 from typing import NamedTuple
@@ -45,6 +45,23 @@ _LEGAL_ARCS = {
 PHASES = (1, 2, 3, 4, 5)
 
 
+# Characters an id may not hold: the file format splits on whitespace, the
+# CSV outputs on ',', --evidence on '=' and provenance paths on '>'.
+_BAD_ID_CHAR = re.compile(r"[\s,=>]")
+
+
+@dataclass(frozen=True)
+class Violation:
+    """One violated invariant, tied to the node or edge that breaks it."""
+
+    code: str
+    subject: str
+    message: str
+
+    def __str__(self) -> str:
+        return f"{self.code} [{self.subject}]: {self.message}"
+
+
 @dataclass(frozen=True)
 class Node:
     """One binary variable.
@@ -59,6 +76,36 @@ class Node:
     leak: float = 0.0
     prior: float | None = None
     phase: int | None = None
+    # the rules this node breaks on its own, in order, found once as it is made
+    violations: tuple[Violation, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        nid, kind, leak, prior, phase = self.id, self.kind, self.leak, self.prior, self.phase
+        out: list[Violation] = []
+        if not nid or _BAD_ID_CHAR.search(nid):
+            message = f"node id {nid!r} must be nonempty without whitespace, ',', '=' or '>'"
+            out.append(Violation("node-id", repr(nid), message))
+        if not 0.0 <= leak <= 1.0:
+            out.append(Violation("leak-range", nid, f"leak out of range: {leak} outside [0, 1]"))
+        if kind is NodeKind.DISEASE:
+            if leak != 0.0:
+                out.append(Violation("disease-leak", nid, f"disease leak must be 0, not {leak}"))
+            if prior is None:
+                out.append(Violation("prior-missing", nid, "disease node missing prior"))
+            elif not 0.0 <= prior <= 1.0:
+                message = f"prior out of range: {prior} outside [0, 1]"
+                out.append(Violation("prior-range", nid, message))
+        elif prior is not None:
+            out.append(Violation("prior-unexpected", nid, f"{kind.value} node takes no prior"))
+        if kind is NodeKind.FINDING:
+            if phase is None:
+                out.append(Violation("phase-missing", nid, "finding node missing phase"))
+            elif phase not in PHASES:
+                message = f"phase out of range: {phase} outside 1..5"
+                out.append(Violation("phase-range", nid, message))
+        elif phase is not None:
+            out.append(Violation("phase-unexpected", nid, f"{kind.value} node takes no phase"))
+        object.__setattr__(self, "violations", tuple(out))
 
 
 def disease(node_id: str, prior: float) -> Node:
@@ -80,18 +127,15 @@ class Edge:
     src: str
     dst: str
     eta: float
+    # the one rule an edge can break on its own, eta in (0, 1], found the same way
+    violations: tuple[Violation, ...] = field(init=False, repr=False, compare=False)
 
-
-@dataclass(frozen=True)
-class Violation:
-    """One violated invariant, tied to the node or edge that breaks it."""
-
-    code: str
-    subject: str
-    message: str
-
-    def __str__(self) -> str:
-        return f"{self.code} [{self.subject}]: {self.message}"
+    def __post_init__(self):
+        broken = ()
+        if not 0.0 < self.eta <= 1.0:
+            message = f"eta out of range: {self.eta} outside (0, 1]"
+            broken = (Violation("eta-range", f"{self.src}->{self.dst}", message),)
+        object.__setattr__(self, "violations", broken)
 
 
 class Network:
@@ -306,14 +350,14 @@ def validate(net: Network) -> list[Violation]:
     """Check every structural invariant; an empty list means valid.
 
     Violations are data, not exceptions: each names the offending node or
-    edge and the rule it breaks. The :func:`local_violations` of every node
-    come first, then each edge's and its level ordering, then ``dag``.
+    edge and the rule it breaks. The ``violations`` of every node come
+    first, then each edge's and its level ordering, then ``dag``.
     """
     out: list[Violation] = []
     for node in net.nodes:
-        out.extend(local_violations(node))
+        out.extend(node.violations)
     for edge in net.edges:
-        out.extend(local_violations(edge))
+        out.extend(edge.violations)
         src_kind = net.node(edge.src).kind
         dst_kind = net.node(edge.dst).kind
         if (src_kind, dst_kind) not in _LEGAL_ARCS:
@@ -326,49 +370,6 @@ def validate(net: Network) -> list[Violation]:
             )
     if net._topo is None:
         out.append(Violation("dag", net.name, "edge relation contains a cycle"))
-    return out
-
-
-# Characters an id may not hold: the file format splits on whitespace, the
-# CSV outputs on ',', --evidence on '=' and provenance paths on '>'.
-_BAD_ID_CHAR = re.compile(r"[\s,=>]")
-
-
-def local_violations(item: Node | Edge) -> list[Violation]:
-    """The rules that one node or edge must meet on its own, in order.
-
-    :func:`validate` applies them over a whole network, and the network
-    file parser to each line, where the first one broken is the error.
-    """
-    if isinstance(item, Edge):
-        if 0.0 < item.eta <= 1.0:
-            return []
-        message = f"eta out of range: {item.eta} outside (0, 1]"
-        return [Violation("eta-range", f"{item.src}->{item.dst}", message)]
-    nid, kind, leak, prior, phase = item.id, item.kind, item.leak, item.prior, item.phase
-    out: list[Violation] = []
-    if not nid or _BAD_ID_CHAR.search(nid):
-        message = f"node id {nid!r} must be nonempty without whitespace, ',', '=' or '>'"
-        out.append(Violation("node-id", repr(nid), message))
-    if not 0.0 <= leak <= 1.0:
-        out.append(Violation("leak-range", nid, f"leak out of range: {leak} outside [0, 1]"))
-    if kind is NodeKind.DISEASE:
-        if leak != 0.0:
-            out.append(Violation("disease-leak", nid, f"disease leak must be 0, not {leak}"))
-        if prior is None:
-            out.append(Violation("prior-missing", nid, "disease node missing prior"))
-        elif not 0.0 <= prior <= 1.0:
-            message = f"prior out of range: {prior} outside [0, 1]"
-            out.append(Violation("prior-range", nid, message))
-    elif prior is not None:
-        out.append(Violation("prior-unexpected", nid, f"{kind.value} node takes no prior"))
-    if kind is NodeKind.FINDING:
-        if phase is None:
-            out.append(Violation("phase-missing", nid, "finding node missing phase"))
-        elif phase not in PHASES:
-            out.append(Violation("phase-range", nid, f"phase out of range: {phase} outside 1..5"))
-    elif phase is not None:
-        out.append(Violation("phase-unexpected", nid, f"{kind.value} node takes no phase"))
     return out
 
 

@@ -115,6 +115,8 @@ class TestRatioR1:
             # not 0, and the ratio is about 1e310
             (StarConfig(p=(1e-300,), q=(1e-10,), rho_f=(0.5,)), "overflows a double"),
             (StarConfig(p=(0.5,), q=(0.5, 0.5), rho_f=(0.0, 0.0)), "needs fan-out 1"),
+            # the rescaled leak term itself overflows (k = 1013)
+            (StarConfig(p=(5e-324,), q=(1e-300,), rho_f=(0.5,)), "overflows a double"),
         ],
     )
     def test_errors_say_which(self, cfg, message):

@@ -495,6 +495,15 @@ class TestForkJoin:
         assert _fork_join(lambda task: task * task, [[1, 2], [3, 4], [5]]) == [1, 4, 9, 16, 25]
         _assert_no_child_left()
 
+    def test_without_fork_every_chunk_runs_here(self, monkeypatch):
+        # the Windows path, in this process
+        monkeypatch.delattr(os, "fork")
+        assert _fork_join(lambda task: task * task, [[1, 2], [3, 4], [5]]) == [1, 4, 9, 16, 25]
+        _assert_no_child_left()
+        net = generate_network(GeneratorConfig(2, 3, 10, seed=6))
+        serial = report_csv(run_experiment(net, 12, seed=6))
+        assert report_csv(run_experiment(net, 12, seed=6, jobs=3)) == serial
+
     def test_a_childs_exception_reaches_the_caller(self):
         for exc, text in (
             (DomainError("task 2 is out of range"), "task 2 is out of range"),

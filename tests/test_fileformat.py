@@ -5,7 +5,9 @@ import pytest
 from conftest import criterion_8_net, diamond_net, fork_net
 from nornet import (
     DomainError,
+    Edge,
     GeneratorConfig,
+    Node,
     ParseError,
     ValidationError,
     cases_csv,
@@ -17,6 +19,7 @@ from nornet import (
     report_csv,
     run_experiment,
     serialize_network,
+    validate,
 )
 
 MINIMAL = """\
@@ -178,6 +181,41 @@ class TestParseErrors:
             parse_network(text)
         assert str(err.value) == f"line {lineno}: {message}"
         assert err.value.line == lineno
+
+    @pytest.mark.parametrize(
+        "third, fifth, message",
+        [
+            ("node b1 ips leak=2", "bogus", "leak out of range: 2.0 outside [0, 1]"),
+            ("bogus", "node b1 ips leak=2", "unknown directive 'bogus'"),
+            ("node b1 ips leak=2", "node f2 finding leak=0 phase=9",
+             "leak out of range: 2.0 outside [0, 1]"),
+        ],
+        ids=["rule-then-syntax", "syntax-then-rule", "rule-then-rule"],
+    )
+    def test_first_bad_line_wins(self, third, fifth, message):
+        # a rule is checked as its line is read, like the syntax around it
+        lines = ["nornet 1 x", "node d1 disease leak=0 prior=0.5", third,
+                 "node f1 finding leak=0 phase=1", fifth]
+        with pytest.raises(ParseError) as err:
+            parse_network("\n".join(lines) + "\n")
+        assert str(err.value) == f"line 3: {message}"
+
+    def test_each_node_and_edge_is_checked_once(self, monkeypatch):
+        # the rules run as each object is made; the parser, validate and
+        # compiled all read that one result
+        text = serialize_network(criterion_8_net((1, 2)))
+        checked = []
+        for cls in (Node, Edge):
+
+            def counted(item, rules=cls.__post_init__):
+                checked.append(item)
+                rules(item)
+
+            monkeypatch.setattr(cls, "__post_init__", counted)
+        net = parse_network(text)
+        assert validate(net) == []
+        assert net.compiled.order
+        assert sorted(map(id, checked)) == sorted(map(id, (*net.nodes, *net.edges)))
 
     def test_whole_network_validation_failure(self):
         text = (

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 from nornet import Edge, Node, NodeKind, ParseError, parse_network
 from nornet.fileformat import format_float
-from nornet.model import local_violations
 
 EDGES_AFTER = "nornet 1 x\nnode a disease leak=0 prior=0.5\nnode b finding leak=0 phase=1\n"
 
@@ -25,7 +24,7 @@ RULES = settings(database=None, derandomize=True, max_examples=200, deadline=Non
 
 def _expect(text, line, built, parsed_as):
     """Assert the parse of ``text`` against the directly built object."""
-    broken = local_violations(built)
+    broken = built.violations
     try:
         net = parse_network(text, require_valid=False)
     except ParseError as exc:
@@ -33,7 +32,7 @@ def _expect(text, line, built, parsed_as):
         assert exc.line == line
         assert str(exc) == f"line {line}: {broken[0].message}"
     else:
-        assert broken == []
+        assert broken == ()
         assert parsed_as(net) == built
 
 
