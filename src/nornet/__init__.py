@@ -48,7 +48,6 @@ from .generator import GeneratorConfig, generate_network
 from .inference import (
     PosteriorResult,
     event_prob,
-    joint_prob,
     marginal,
     posterior,
 )
@@ -61,6 +60,8 @@ from .model import (
     disease,
     finding,
     ips,
+    joint_prob,
+    sample_world,
     validate,
 )
 from .reduction import (
@@ -73,7 +74,6 @@ from .reduction import (
     merge_parallel,
 )
 from .rng import SplitMix64
-from .sampling import sample_world
 from .stats import log_odds, paired_t, two_sided_p
 
 __version__ = "0.1.0"

@@ -20,6 +20,7 @@ from .errors import FileError, NornetError
 from .experiment import generate_cases, run_experiment
 from .fileformat import (
     cases_csv,
+    format_float9,
     parse_network,
     provenance_csv,
     report_csv,
@@ -164,17 +165,17 @@ def _cmd_analyze(args) -> int:
         print(f"{nid} fan_in={m} fan_out={n} bias={bias[nid]}")
     print(
         f"aggregate ips={len(stats.per_node)}"
-        f" max_fan_in={stats.max_fan_in} mean_fan_in={'%.9g' % stats.mean_fan_in}"
-        f" max_fan_out={stats.max_fan_out} mean_fan_out={'%.9g' % stats.mean_fan_out}"
+        f" max_fan_in={stats.max_fan_in} mean_fan_in={format_float9(stats.mean_fan_in)}"
+        f" max_fan_out={stats.max_fan_out} mean_fan_out={format_float9(stats.mean_fan_out)}"
     )
     cfg = analysis.star_config_from_network(net)
     if cfg is not None:
         print(f"star fan_in={cfg.fan_in} fan_out={cfg.fan_out}")
         if cfg.fan_out == 1:
-            print(f"fan_in_ratio={'%.9g' % analysis.fan_in_ratio(cfg)}")
+            print(f"fan_in_ratio={format_float9(analysis.fan_in_ratio(cfg))}")
         else:
-            exact, approx = analysis.fan_out_ratio(cfg)
-            print(f"fan_out_ratio_exact={'%.9g' % exact} fan_out_ratio_approx={'%.9g' % approx}")
+            exact, approx = map(format_float9, analysis.fan_out_ratio(cfg))
+            print(f"fan_out_ratio_exact={exact} fan_out_ratio_approx={approx}")
     return 0
 
 

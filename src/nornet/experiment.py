@@ -23,10 +23,9 @@ from math import ceil
 
 from .errors import DegenerateVarianceError, DomainError, ExhaustionError
 from .inference import _Elimination, _posterior
-from .model import Network, NodeKind, PHASES
+from .model import Network, NodeKind, PHASES, sample_world
 from .reduction import level_reduce
 from .rng import SplitMix64
-from .sampling import sample_world
 from .stats import log_odds, paired_t, two_sided_p
 
 _RETRY_LIMIT = 10_000

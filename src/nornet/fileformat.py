@@ -32,7 +32,7 @@ _EDGE_FIELDS = {"eta": float}
 
 
 def format_float(x: float) -> str:
-    """Shortest %.17g rendering; parses back to the identical double."""
+    """%.17g: 17 significant digits, which parse back to the identical double."""
     return "%.17g" % x
 
 

@@ -47,7 +47,7 @@ from dataclasses import dataclass
 from math import prod
 from operator import itemgetter
 
-from .errors import DomainError, EvidenceError, IncompleteAssignmentError
+from .errors import DomainError, EvidenceError
 from .factors import getter, interaction_graph, min_degree_elimination
 from .factors import sum_product_maps, sum_product_values
 from .model import Network, NodeKind, row_prob
@@ -68,23 +68,6 @@ class PosteriorResult:
     posteriors: dict[str, float]
     evidence_likelihood: float
     conjunction: float | None = None
-
-
-def joint_prob(net: Network, full_assignment: Mapping) -> float:
-    """Probability of one complete world (every node assigned)."""
-    compiled = net.compiled
-    missing = [nid for nid in net.node_ids if nid not in full_assignment]
-    if missing:
-        raise IncompleteAssignmentError(
-            f"assignment misses {len(missing)} node(s), e.g. {missing[0]!r}"
-        )
-    for nid in full_assignment:
-        net.node(nid)
-    state = [full_assignment[nid] for nid in compiled.order]
-    prob = 1.0
-    for row, value in zip(compiled.rows, state):
-        prob *= row_prob(row, state, value)
-    return prob
 
 
 def _normalize_assignment(
@@ -189,36 +172,6 @@ class _Elimination:
         self.steps = {}
 
 
-def _node_factor(net, nid, scope, held):
-    """The table of P(nid | parents) in ``net`` over ``scope``, the unfixed
-    part of its family, with the rest held at its values in ``held``, which
-    may map other ids too. One pass over the parents in row order forms
-    :func:`row_prob`'s product for every cell, so an unfixed nid's bit is the
-    top one. Where either side of a cell is 0.0, :func:`row_prob` forms both:
-    its accurate p for a 0.0 present side moves the absent side off 1.0 too."""
-    compiled = net.compiled
-    head, base, parents = row = compiled.rows[compiled.index[nid]]
-    cells = [base]
-    for j, one_minus_eta in parents:
-        pid = compiled.order[j]
-        if pid in scope:
-            cells += [c * one_minus_eta for c in cells]
-        elif held.get(pid, False):
-            cells = [c * one_minus_eta for c in cells]
-    present = cells if head is True else [1.0 - c for c in cells]
-    absent = [1.0 - p for p in present]
-    if (head and 0.0 in present) or 0.0 in absent:
-        state = [held.get(v, False) for v in compiled.order]
-        for idx in [idx for idx, (p, q) in enumerate(zip(present, absent)) if p == 0.0 or q == 0.0]:
-            for bit, v in enumerate(scope):
-                state[compiled.index[v]] = (idx >> bit) & 1
-            present[idx] = row_prob(row, state)
-            absent[idx] = row_prob(row, state, False)
-    if nid in scope:
-        return absent + present
-    return present if held.get(nid, False) else absent
-
-
 def _no_ids(_):
     """The fixed values of a node that fixes none of its family."""
     return ()
@@ -306,7 +259,7 @@ def _ve_likelihood(net, plan, fixed):
     if None in tables:
         for k, (read, known, nid, scope) in enumerate(nodes):
             if tables[k] is None:
-                tables[k] = known[read(fixed)] = _node_factor(net, nid, scope, fixed)
+                tables[k] = known[read(fixed)] = net.compiled.table(nid, scope, fixed)
     for related, reads in steps:
         tables.append(sum_product_values(reads, related(tables)))
     return prod([tables[k][0] for k in final], start=1.0)

@@ -18,13 +18,14 @@ import enum
 import heapq
 import math
 import re
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 from operator import itemgetter
 from typing import NamedTuple
 
-from .errors import DomainError, ValidationError
+from .errors import DomainError, IncompleteAssignmentError, ValidationError
+from .rng import SplitMix64
 
 
 class NodeKind(enum.Enum):
@@ -81,20 +82,31 @@ class Node:
 
     def __post_init__(self):
         nid, kind, leak, prior, phase = self.id, self.kind, self.leak, self.prior, self.phase
+        if not isinstance(nid, str):
+            raise DomainError(f"node id {nid!r} is not a str")
+        if not isinstance(kind, NodeKind):
+            raise DomainError(f"node {nid!r}: kind {kind!r} is not a NodeKind")
         out: list[Violation] = []
         if not nid or _BAD_ID_CHAR.search(nid):
             message = f"node id {nid!r} must be nonempty without whitespace, ',', '=' or '>'"
             out.append(Violation("node-id", repr(nid), message))
-        if not 0.0 <= leak <= 1.0:
-            out.append(Violation("leak-range", nid, f"leak out of range: {leak} outside [0, 1]"))
+        try:
+            if not 0.0 <= leak <= 1.0:
+                message = f"leak out of range: {leak} outside [0, 1]"
+                out.append(Violation("leak-range", nid, message))
+        except TypeError:
+            raise DomainError(f"node {nid!r}: leak {leak!r} is not a number") from None
         if kind is NodeKind.DISEASE:
             if leak != 0.0:
                 out.append(Violation("disease-leak", nid, f"disease leak must be 0, not {leak}"))
-            if prior is None:
-                out.append(Violation("prior-missing", nid, "disease node missing prior"))
-            elif not 0.0 <= prior <= 1.0:
-                message = f"prior out of range: {prior} outside [0, 1]"
-                out.append(Violation("prior-range", nid, message))
+            try:
+                if prior is None:
+                    out.append(Violation("prior-missing", nid, "disease node missing prior"))
+                elif not 0.0 <= prior <= 1.0:
+                    message = f"prior out of range: {prior} outside [0, 1]"
+                    out.append(Violation("prior-range", nid, message))
+            except TypeError:
+                raise DomainError(f"node {nid!r}: prior {prior!r} is not a number") from None
         elif prior is not None:
             out.append(Violation("prior-unexpected", nid, f"{kind.value} node takes no prior"))
         if kind is NodeKind.FINDING:
@@ -132,9 +144,13 @@ class Edge:
 
     def __post_init__(self):
         broken = ()
-        if not 0.0 < self.eta <= 1.0:
-            message = f"eta out of range: {self.eta} outside (0, 1]"
-            broken = (Violation("eta-range", f"{self.src}->{self.dst}", message),)
+        try:
+            if not 0.0 < self.eta <= 1.0:
+                message = f"eta out of range: {self.eta} outside (0, 1]"
+                broken = (Violation("eta-range", f"{self.src}->{self.dst}", message),)
+        except TypeError:
+            message = f"edge {self.src}->{self.dst}: eta {self.eta!r} is not a number"
+            raise DomainError(message) from None
         object.__setattr__(self, "violations", broken)
 
 
@@ -308,18 +324,45 @@ class CompiledNetwork(NamedTuple):
     disease and False for any other node, unless its leak or an eta is an
     x > 0 with ``1 - x == 1.0``: then it holds ``(leak, *etas)``, in the
     order of ``parents``, for :func:`row_prob`'s accurate present side.
-    Sampling, ``joint_prob`` and enumeration call :func:`row_prob`; factor
-    building forms its products, the same doubles in the same order, over
-    ``parents`` with the node's own bit on top, and calls it only for the
-    cells where a side is 0.0, so all agree bit for bit.
+    Only :func:`row_prob`, one node in one state, and :meth:`table`, all of
+    a node's cells, read a row, so every evaluator agrees bit for bit.
     """
 
     order: tuple[str, ...]
     index: dict[str, int]
     rows: tuple[tuple[bool | tuple[float, ...], float, tuple[tuple[int, float], ...]], ...]
 
+    def table(self, nid: str, scope: Sequence[str], held: Mapping) -> list[float]:
+        """P(nid | parents) over ``scope``, the unfixed part of its family
+        (its parents in row order, then itself), the rest held at their
+        values in ``held``, which may map other ids too. One pass over the
+        parents forms :func:`row_prob`'s product for every cell, nid's bit
+        on top. Where either side of a cell is 0.0, both come from
+        :func:`row_prob`, whose accurate p moves the absent side too."""
+        head, base, parents = row = self.rows[self.index[nid]]
+        cells = [base]
+        for j, one_minus_eta in parents:
+            pid = self.order[j]
+            if pid in scope:
+                cells += [c * one_minus_eta for c in cells]
+            elif held.get(pid, False):
+                cells = [c * one_minus_eta for c in cells]
+        present = cells if head is True else [1.0 - c for c in cells]
+        absent = [1.0 - p for p in present]
+        if (head and 0.0 in present) or 0.0 in absent:
+            state = {j: held.get(self.order[j], False) for j, _ in parents}
+            free = [j for j, _ in parents if self.order[j] in scope]
+            for k in [k for k, (p, q) in enumerate(zip(present, absent)) if p == 0.0 or q == 0.0]:
+                for bit, j in enumerate(free):
+                    state[j] = (k >> bit) & 1
+                present[k] = row_prob(row, state)
+                absent[k] = row_prob(row, state, False)
+        if nid in scope:
+            return absent + present
+        return present if held.get(nid, False) else absent
 
-def row_prob(row: tuple, state: Sequence, value=True) -> float:
+
+def row_prob(row: tuple, state: Sequence | Mapping, value=True) -> float:
     """P(node = ``value``) for one :class:`CompiledNetwork` row, given
     ``state`` indexed by row, whose entries for the row's parents are set
     (truthy means present). A disease returns its prior or 1 - prior. Any
@@ -344,6 +387,33 @@ def row_prob(row: tuple, state: Sequence, value=True) -> float:
                 xs.append(eta)
         p = one_minus_prod(xs)
     return p if value else 1.0 - p or base
+
+
+def joint_prob(net: Network, full_assignment: Mapping) -> float:
+    """Probability of one complete world (every node assigned)."""
+    compiled = net.compiled
+    missing = [nid for nid in net.node_ids if nid not in full_assignment]
+    if missing:
+        raise IncompleteAssignmentError(
+            f"assignment misses {len(missing)} node(s), e.g. {missing[0]!r}"
+        )
+    for nid in full_assignment:
+        net.node(nid)
+    state = [full_assignment[nid] for nid in compiled.order]
+    return math.prod([row_prob(row, state, v) for row, v in zip(compiled.rows, state)], start=1.0)
+
+
+def sample_world(net: Network, seed: int) -> dict[str, bool]:
+    """One complete world by ancestral sampling: each node, in canonical
+    topological order, takes exactly one draw from a ``SplitMix64(seed)``
+    stream and is present if it falls below :func:`row_prob`, so a
+    (network, seed) pair always gives the same new dict of node states."""
+    compiled = net.compiled
+    next_float = SplitMix64(seed).next_float
+    states = [False] * len(compiled.rows)
+    for i, row in enumerate(compiled.rows):
+        states[i] = next_float() < row_prob(row, states)
+    return dict(zip(compiled.order, states))
 
 
 def validate(net: Network) -> list[Violation]:

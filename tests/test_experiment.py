@@ -15,6 +15,7 @@ from conftest import chain_net, criterion_8_net, random_unit_fan_net
 import nornet
 from nornet import experiment, inference
 from nornet.experiment import _eval_case, _fork_join
+from nornet.model import CompiledNetwork
 from nornet import (
     DomainError,
     Edge,
@@ -328,8 +329,9 @@ class TestRunExperiment:
         _assert_no_child_left()
 
     def test_elimination_work_does_not_grow_with_cases(self, monkeypatch):
-        # node tables and orderings are counted where nornet.inference calls
-        # them; a call's caches die with it, so a repeat call counts again
+        # node tables are counted on CompiledNetwork, orderings where
+        # nornet.inference calls them; a call's caches die with it, so a
+        # repeat call counts again
         calls = {"tables": 0, "orders": 0}
 
         def counted(name, fn):
@@ -340,7 +342,7 @@ class TestRunExperiment:
             return wrapper
 
         monkeypatch.setattr(
-            "nornet.inference._node_factor", counted("tables", inference._node_factor)
+            "nornet.model.CompiledNetwork.table", counted("tables", CompiledNetwork.table)
         )
         monkeypatch.setattr(
             "nornet.inference.min_degree_elimination",

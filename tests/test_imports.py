@@ -7,7 +7,7 @@ the arguments those scripts call it with, and every top-level
 definition, method and property is used by the package or by those
 scripts, or is public API that README.md names, not used by tests
 alone. The engine's modules keep no state that outlives a call: they bind
-constants only.
+constants only. README's Layout block lists every module.
 """
 
 import ast
@@ -43,6 +43,14 @@ def _imports(tree):
 
 def test_modules_found():
     assert {"model", "inference", "experiment", "fileformat"} <= set(MODULES)
+
+
+def test_readme_layout_lists_every_module():
+    # the indented lines under ``src/nornet/`` in README's Layout block,
+    # one per module; the package's entry points go unlisted
+    block = README.split("## Layout", 1)[1].split("```\n", 2)[1]
+    listed = re.findall(r"^  (\w+)\.py ", block.split("src/nornet/\n", 1)[1], re.M)
+    assert sorted(listed) == sorted(set(MODULES) - {"__init__", "__main__"})
 
 
 def test_every_import_is_stdlib_or_in_package():

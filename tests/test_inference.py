@@ -613,7 +613,10 @@ def test_node_tables_equal_a_per_cell_row_prob_loop():
     # leaks of 1e-20, 5e-324 and 5e-17 give rows whose plain value cancels
     # to 0.0, and two of 5e-17 an accurate p with 1 - p below 1.0, so the
     # absent side departs from the product too; leaks and etas of
-    # 1 - 2**-53 give absent cells that cancel to 0.0
+    # 1 - 2**-53 give absent cells that cancel to 0.0. Nodes outside f's
+    # family may be held too: a second finding g under the same parents,
+    # and a disease h with no children, whose row comes after the d rows
+    # and before the i rows. The tables read only f's parents' rows
     rng = random.Random(1996)
     tiny = (1e-20, 5e-324, 5e-17, 1.0 - 2.0**-53)
     cancelled = 0
@@ -624,13 +627,18 @@ def test_node_tables_equal_a_per_cell_row_prob_loop():
         net = Network(
             "row",
             [
-                *[disease(d, rng.choice((0.0, 0.5, 1.0))) for d in diseases],
+                *[disease(d, rng.choice((0.0, 0.5, 1.0))) for d in [*diseases, "h"]],
                 *[ips(i, rng.choice((0.0, 0.3))) for i in hidden],
                 finding("f", rng.choice((0.0, 0.05, *tiny)), 1),
+                finding("g", rng.choice((0.0, 0.05)), 1),
             ],
-            [Edge(v, "f", rng.choice((1.0, rng.random() or 1.0, *tiny))) for v in parents],
+            [
+                Edge(v, w, rng.choice((1.0, rng.random() or 1.0, *tiny)))
+                for v in parents
+                for w in ("f", "g")
+            ],
         )
-        held = {v: rng.random() < 0.5 for v in ["f", *parents] if rng.random() < 0.4}
+        held = {v: rng.random() < 0.5 for v in ["f", "g", "h", *parents] if rng.random() < 0.4}
         tables = [("f", held)]
         # the node itself held at both values
         tables += [("f", {**held, "f": value}) for value in (False, True)]
@@ -641,13 +649,13 @@ def test_node_tables_equal_a_per_cell_row_prob_loop():
         for nid, fixed in tables:
             family = [*parents, nid] if nid == "f" else [nid]
             scope = tuple([v for v in family if v not in fixed])
-            got = inference._node_factor(net, nid, scope, dict(fixed))
+            got = net.compiled.table(nid, scope, dict(fixed))
             want = _per_cell_table(net, nid, scope, fixed)
             assert list(map(float.hex, got)) == list(map(float.hex, want)), (k, nid, fixed)
             if nid == "f" and "f" not in fixed:
                 # f's own bit is the top one: f held absent, then held present
                 absent, present = [
-                    inference._node_factor(net, nid, scope[:-1], {**fixed, nid: value})
+                    net.compiled.table(nid, scope[:-1], {**fixed, nid: value})
                     for value in (False, True)
                 ]
                 assert list(map(float.hex, got)) == list(map(float.hex, absent + present)), k

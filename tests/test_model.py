@@ -6,6 +6,8 @@ from nornet import (
     DomainError,
     Edge,
     Network,
+    Node,
+    NodeKind,
     SplitMix64,
     ValidationError,
     disease,
@@ -114,6 +116,20 @@ class TestValidate:
             [],
         )
         assert "disease-leak" in [v.code for v in validate(bad)]
+
+    @pytest.mark.parametrize(
+        "field, make, args",
+        [
+            ("id", Node, (1, NodeKind.IPS)),
+            ("kind", Node, ("a", "ips")),
+            ("leak", Node, ("a", NodeKind.IPS, "0.5")),
+            ("prior", Node, ("d", NodeKind.DISEASE, 0.0, "0.1")),
+            ("eta", Edge, ("a", "b", None)),
+        ],
+    )
+    def test_wrong_field_type_is_a_domain_error(self, field, make, args):
+        with pytest.raises(DomainError, match=rf"\b{field}\b"):
+            make(*args)
 
     def test_duplicate_node_unrepresentable(self):
         with pytest.raises(DomainError):
