@@ -73,24 +73,30 @@ class PosteriorResult:
 def _normalize_assignment(
     net: Network, assignment: Mapping, findings_only: bool = False
 ) -> dict[str, bool]:
-    fixed = {}
-    for nid, value in dict(assignment).items():
-        node = net.node(nid)
-        if findings_only and node.kind is not NodeKind.FINDING:
-            raise DomainError(f"evidence node {nid!r} is not a finding")
-        fixed[nid] = bool(value)
-    return fixed
+    """``assignment`` as a new dict of bools. Finding evidence needs one
+    check of its ids; otherwise the first bad id in the caller's order raises."""
+    assignment = dict(assignment)
+    if not (findings_only and assignment.keys() <= net.ids_of_kind(NodeKind.FINDING)):
+        for nid, value in assignment.items():
+            node = net.node(nid)
+            if findings_only and node.kind is not NodeKind.FINDING:
+                raise DomainError(f"evidence node {nid!r} is not a finding")
+            bool(value)  # a value whose bool() raises before a bad id raises first
+    return {nid: bool(value) for nid, value in assignment.items()}
 
 
 def _prune_barren(net: Network, needed: set[str]) -> tuple[str, ...]:
     """Kept node ids in topological order: a node survives iff it is needed
     or some child of it survives."""
     order = net.compiled.order
+    if needed.issuperset(order):
+        return order
     kept: set[str] = set()
+    add, disjoint, children_of = kept.add, kept.isdisjoint, net.children_of
     for nid in reversed(order):
-        if nid in needed or not kept.isdisjoint(net.children_of(nid)):
-            kept.add(nid)
-    return tuple(nid for nid in order if nid in kept)
+        if nid in needed or not disjoint(children_of(nid)):
+            add(nid)
+    return tuple([nid for nid in order if nid in kept])
 
 
 # -- enumeration engine -------------------------------------------------------
@@ -166,7 +172,7 @@ class _Elimination:
 
     def __init__(self, net: Network):
         self.net = net
-        self.diseases = tuple(n.id for n in net.nodes_of_kind(NodeKind.DISEASE))
+        self.diseases = tuple(net.ids_of_kind(NodeKind.DISEASE))
         self.shapes = {}
         self.nodes = {}
         self.steps = {}

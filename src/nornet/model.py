@@ -18,7 +18,7 @@ import enum
 import heapq
 import math
 import re
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Iterable, KeysView, Mapping, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 from operator import itemgetter
@@ -113,7 +113,7 @@ class Node:
             if phase is None:
                 out.append(Violation("phase-missing", nid, "finding node missing phase"))
             elif phase not in PHASES:
-                message = f"phase out of range: {phase} outside 1..5"
+                message = f"phase out of range: {phase!r} outside 1..5"
                 out.append(Violation("phase-range", nid, message))
         elif phase is not None:
             out.append(Violation("phase-unexpected", nid, f"{kind.value} node takes no phase"))
@@ -223,7 +223,16 @@ class Network:
         return self._children[node_id]
 
     def nodes_of_kind(self, kind: NodeKind) -> tuple[Node, ...]:
-        return tuple(n for n in self.nodes if n.kind is kind)
+        return tuple(self._kinds[kind].values())
+
+    def ids_of_kind(self, kind: NodeKind) -> KeysView[str]:
+        """The ids of ``kind``'s nodes, ascending, as a set-like view."""
+        return self._kinds[kind].keys()
+
+    @cached_property
+    def _kinds(self) -> dict[NodeKind, dict[str, Node]]:
+        """Per kind, its nodes by id in ascending id order."""
+        return {kind: {n.id: n for n in self.nodes if n.kind is kind} for kind in NodeKind}
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Network):
@@ -445,8 +454,11 @@ def validate(net: Network) -> list[Violation]:
 
 def check_prob(name: str, value: float) -> None:
     """Raise ``DomainError`` unless ``value`` is a probability in [0, 1]."""
-    if not 0.0 <= value <= 1.0:
-        raise DomainError(f"{name} {value} outside [0, 1]")
+    try:
+        if not 0.0 <= value <= 1.0:
+            raise DomainError(f"{name} {value} outside [0, 1]")
+    except TypeError:
+        raise DomainError(f"{name} {value!r} is not a number") from None
 
 
 def one_minus_prod(xs: Iterable[float]) -> float:

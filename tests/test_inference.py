@@ -143,11 +143,12 @@ class TestPosterior:
         assert result.conjunction == pytest.approx(expected, abs=1e-12)
 
     def test_evidence_on_non_finding_rejected(self):
+        # a disease and an intermediate, each beside a finding
         net = chain_net()
-        with pytest.raises(DomainError):
-            posterior(net, {"a": True})
-        with pytest.raises(DomainError):
-            posterior(net, {"b": True})
+        for nid in ("a", "b"):
+            with pytest.raises(DomainError) as err:
+                posterior(net, {"c": True, nid: True})
+            assert str(err.value) == f"evidence node {nid!r} is not a finding"
 
     def test_unknown_method_rejected(self):
         with pytest.raises(DomainError, match="unknown inference method 'bogus'"):
@@ -178,6 +179,39 @@ class TestPosterior:
             posterior(cyclic, {"d": True})
         with pytest.raises(ValidationError, match="dag"):
             posterior(cyclic, {"f": True})
+
+    @pytest.mark.parametrize(
+        "ids, named",
+        [
+            (("f0", "i0", "ghost", "d0"), "evidence node 'i0' is not a finding"),
+            (("ghost", "f1", "d0"), "unknown node 'ghost'"),
+            (("f1", "d2", "i0"), "evidence node 'd2' is not a finding"),
+            (("f0", "f1", "nope", "ghost"), "unknown node 'nope'"),
+        ],
+    )
+    def test_the_first_bad_id_in_the_callers_order_is_named(self, ids, named):
+        with pytest.raises(DomainError) as err:
+            posterior(fork_net(), dict.fromkeys(ids, True))
+        assert str(err.value) == named
+
+    def test_a_value_is_read_in_the_callers_order_too(self):
+        class Unreadable:
+            def __bool__(self):
+                raise ZeroDivisionError("unreadable")
+
+        with pytest.raises(ZeroDivisionError):
+            posterior(fork_net(), {"f0": Unreadable(), "ghost": True})
+        with pytest.raises(DomainError, match="unknown node 'ghost'"):
+            posterior(fork_net(), {"ghost": True, "f0": Unreadable()})
+
+    def test_event_prob_accepts_any_node(self):
+        net = fork_net()
+        assignment = {"f1": True, "i0": True, "d0": False}
+        assert event_prob(net, assignment) == pytest.approx(
+            oracle.event_prob(net, assignment), abs=1e-12
+        )
+        with pytest.raises(DomainError, match="unknown node 'ghost'"):
+            event_prob(net, {"d0": True, "ghost": True})
 
     def test_positive_descendant_never_decreases_single_parent_posterior(self):
         rng = SplitMix64(29)
@@ -933,3 +967,23 @@ class TestEliminationReuse:
                 evidence = case.cumulative_evidence(phase)
                 inference._posterior(cache, evidence, None, "elimination")
         assert len(walks) == len(set(walks)) == 5
+
+    @pytest.mark.parametrize("fan", [(1, 2), (3, 4)])
+    def test_pruning_keeps_the_needed_nodes_and_their_ancestors(self, fan):
+        net = criterion_8_net(fan)
+        order = net.compiled.order
+        rng = random.Random(11)
+        needed_sets = [frozenset(order), frozenset(order[1:]), frozenset(order[:-1])]
+        needed_sets += [frozenset(rng.sample(order, k)) for k in (1, 5, 20, 40)]
+        for needed in needed_sets:
+            kept = set()
+            stack = list(needed)
+            while stack:
+                nid = stack.pop()
+                if nid not in kept:
+                    kept.add(nid)
+                    stack.extend(pid for pid, _ in net.parents_of(nid))
+            want = tuple(nid for nid in order if nid in kept)
+            assert inference._prune_barren(net, needed) == want, sorted(needed)
+        # with every node needed, the order itself comes back
+        assert inference._prune_barren(net, frozenset(order)) is order

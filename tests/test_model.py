@@ -5,19 +5,27 @@ import pytest
 from nornet import (
     DomainError,
     Edge,
+    GeneratorConfig,
     Network,
     Node,
     NodeKind,
+    ParseError,
     SplitMix64,
+    StarConfig,
     ValidationError,
+    absorb_leak,
+    compose_serial,
     disease,
     event_prob,
     finding,
     generate_cases,
+    generate_network,
     ips,
     joint_prob,
     level_reduce,
     marginal,
+    merge_parallel,
+    parse_network,
     posterior,
     run_experiment,
     sample_world,
@@ -130,6 +138,34 @@ class TestValidate:
     def test_wrong_field_type_is_a_domain_error(self, field, make, args):
         with pytest.raises(DomainError, match=rf"\b{field}\b"):
             make(*args)
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: compose_serial("0.5", 0.5), "p '0.5' is not a number"),
+            (lambda: merge_parallel([0.1, "0.2"]), "path probability '0.2' is not a number"),
+            (lambda: absorb_leak(0.1, None, 0.1), "q None is not a number"),
+            (lambda: StarConfig(("0.3",), (0.5,)), "p '0.3' is not a number"),
+        ],
+        ids=["compose_serial", "merge_parallel", "absorb_leak", "StarConfig"],
+    )
+    def test_probability_of_a_wrong_type_is_a_domain_error(self, call, message):
+        # check_prob names the argument, as Node and Edge name their field
+        with pytest.raises(DomainError) as err:
+            call()
+        assert str(err.value) == message
+
+    def test_phase_message_shows_a_wrong_typed_phase_as_its_repr(self):
+        def phase_message(phase):
+            (rule,) = finding("f", 0.0, phase).violations
+            return rule.message
+
+        assert phase_message("1") == "phase out of range: '1' outside 1..5"
+        assert phase_message(9) == "phase out of range: 9 outside 1..5"
+        text = "nornet 1 x\nnode d disease leak=0 prior=0.5\nnode f finding leak=0 phase=9\n"
+        with pytest.raises(ParseError) as err:
+            parse_network(text)
+        assert str(err.value) == "line 3: phase out of range: 9 outside 1..5"
 
     def test_duplicate_node_unrepresentable(self):
         with pytest.raises(DomainError):
@@ -363,6 +399,17 @@ class TestRowProb:
                 assert value == 1.0 - base
             else:
                 assert (value > 0.0) is bool(on or leak)
+
+
+class TestKindIndex:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_nodes_of_kind_equals_a_full_scan(self, seed):
+        cfg = GeneratorConfig(3, 12, 25, fan_in_range=(1, 3), ips_chain_prob=0.3, seed=seed)
+        net = generate_network(cfg)
+        for kind in NodeKind:
+            scan = tuple(n for n in net.nodes if n.kind is kind)
+            assert scan and net.nodes_of_kind(kind) == scan
+            assert tuple(net.ids_of_kind(kind)) == tuple(n.id for n in scan)
 
 
 class TestTopologicalOrder:
