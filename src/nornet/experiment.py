@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from functools import partial
 from math import ceil
 
-from .errors import DegenerateVarianceError, DomainError, ExhaustionError
+from .errors import DegenerateVarianceError, DomainError, ExhaustionError, NornetError
 from .inference import _Elimination, _posterior
 from .model import Network, NodeKind, PHASES, sample_world
 from .reduction import level_reduce
@@ -160,7 +160,9 @@ def run_experiment(
     (enforced by the test suite). The cases split into at most
     ``min(jobs, n_cases)`` chunks: the calling process runs the first and
     a child forked from it runs each other one (see :func:`_fork_join`),
-    so ``jobs=1`` never forks. ``jobs`` below 1 is a DomainError.
+    so ``jobs=1`` never forks. ``jobs`` below 1 is a DomainError; a worker
+    that cannot be started or sends no whole result is a NornetError with
+    code ``internal``.
     """
     if jobs < 1:
         raise DomainError(f"jobs must be at least 1, got {jobs}")
@@ -253,17 +255,26 @@ def _fork_join(fn, chunks):
     results, or the exception it raised, into a pipe and always leaves
     through ``os._exit``, so it neither runs the caller's cleanup nor
     flushes a copy of its buffered output. The caller re-raises a child's
-    exception, raises RuntimeError naming the wait status of a child that
-    sent nothing, and reaps every child, killing those left when it fails.
-    Without ``os.fork`` (Windows) every chunk runs in the calling process.
+    exception and reaps every child, killing those left when it fails.
+    Where a pipe or a child cannot be made, it closes that pipe and raises
+    a NornetError (code ``internal``) naming the OS error; for a child that
+    sent no whole result, one naming its wait status, so the CLI prints
+    either as one error line. Without ``os.fork`` (Windows) every chunk
+    runs in the calling process.
     """
     if not hasattr(os, "fork"):
         return [fn(task) for chunk in chunks for task in chunk]
     children = {}
     try:
         for chunk in chunks[1:]:
-            read, write = os.pipe()
-            pid = os.fork()
+            fds = ()
+            try:
+                fds = read, write = os.pipe()
+                pid = os.fork()
+            except OSError as exc:
+                for fd in fds:
+                    os.close(fd)
+                raise NornetError(f"cannot start a worker process: {exc}") from exc
             if pid == 0:
                 code = 1
                 try:
@@ -284,9 +295,11 @@ def _fork_join(fn, chunks):
             with os.fdopen(children.pop(pid), "rb") as pipe:
                 data = pipe.read()
             _, status = os.waitpid(pid, 0)
-            if not data:
-                raise RuntimeError(f"forked child sent no result (wait status {status})")
-            ok, value = pickle.loads(data)
+            try:
+                ok, value = pickle.loads(data)
+            except (pickle.UnpicklingError, EOFError) as exc:
+                message = f"forked child sent no whole result (wait status {status}): {exc}"
+                raise NornetError(message) from exc
             if not ok:
                 raise value
             results.extend(value)

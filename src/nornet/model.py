@@ -21,7 +21,6 @@ import re
 from collections.abc import Iterable, KeysView, Mapping, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
-from operator import itemgetter
 from typing import NamedTuple
 
 from .errors import DomainError, IncompleteAssignmentError, ValidationError
@@ -274,14 +273,12 @@ class Network:
         for nid in order:
             node = self._nodes[nid]
             if node.kind is NodeKind.DISEASE:
-                rows.append((True, float(node.prior), ()))
+                rows.append(((), float(node.prior), ()))
             else:
-                parents = tuple([(index[pid], 1.0 - eta) for pid, eta in self._parents[nid]])
-                base = 1.0 - node.leak
-                # a leak or an eta x > 0 with 1 - x == 1.0; every eta is positive
-                tiny = (base == 1.0 and node.leak > 0.0) or 1.0 in map(itemgetter(1), parents)
-                head = (node.leak, *[eta for _, eta in self._parents[nid]]) if tiny else False
-                rows.append((head, base, parents))
+                family = self._parents[nid]
+                params = (node.leak, *[eta for _, eta in family])
+                parents = tuple([(index[pid], 1.0 - eta) for pid, eta in family])
+                rows.append((params, 1.0 - node.leak, parents))
         return CompiledNetwork(order, index, tuple(rows))
 
     @cached_property
@@ -326,20 +323,19 @@ class CompiledNetwork(NamedTuple):
 
     ``order`` holds the node ids in topological order (ascending-id tie
     break) and ``index`` maps each id to its position there, its row.
-    ``rows[i]`` is ``(head, base, parents)`` for node ``order[i]``:
-    ``base`` is the prior of a disease and ``1 - leak`` of any other node,
-    and ``parents`` holds ``(row, 1 - eta)`` pairs in ascending parent-id
-    order, every parent row before its child's. ``head`` is True for a
-    disease and False for any other node, unless its leak or an eta is an
-    x > 0 with ``1 - x == 1.0``: then it holds ``(leak, *etas)``, in the
-    order of ``parents``, for :func:`row_prob`'s accurate present side.
+    ``rows[i]`` is ``(params, base, parents)`` for node ``order[i]``:
+    ``params`` is ``()`` for a disease and ``(leak, *etas)`` for any other
+    node, in the order of ``parents``, for :func:`row_prob`'s accurate
+    present side; ``base`` is the prior of a disease and ``1 - leak`` of
+    any other node, and ``parents`` holds ``(row, 1 - eta)`` pairs in
+    ascending parent-id order, every parent row before its child's.
     Only :func:`row_prob`, one node in one state, and :meth:`table`, all of
     a node's cells, read a row, so every evaluator agrees bit for bit.
     """
 
     order: tuple[str, ...]
     index: dict[str, int]
-    rows: tuple[tuple[bool | tuple[float, ...], float, tuple[tuple[int, float], ...]], ...]
+    rows: tuple[tuple[tuple[float, ...], float, tuple[tuple[int, float], ...]], ...]
 
     def table(self, nid: str, scope: Sequence[str], held: Mapping) -> list[float]:
         """P(nid | parents) over ``scope``, the unfixed part of its family
@@ -348,7 +344,7 @@ class CompiledNetwork(NamedTuple):
         parents forms :func:`row_prob`'s product for every cell, nid's bit
         on top. Where either side of a cell is 0.0, both come from
         :func:`row_prob`, whose accurate p moves the absent side too."""
-        head, base, parents = row = self.rows[self.index[nid]]
+        params, base, parents = row = self.rows[self.index[nid]]
         cells = [base]
         for j, one_minus_eta in parents:
             pid = self.order[j]
@@ -356,9 +352,9 @@ class CompiledNetwork(NamedTuple):
                 cells += [c * one_minus_eta for c in cells]
             elif held.get(pid, False):
                 cells = [c * one_minus_eta for c in cells]
-        present = cells if head is True else [1.0 - c for c in cells]
+        present = [1.0 - c for c in cells] if params else cells
         absent = [1.0 - p for p in present]
-        if (head and 0.0 in present) or 0.0 in absent:
+        if 0.0 in present or 0.0 in absent:
             state = {j: held.get(self.order[j], False) for j, _ in parents}
             free = [j for j, _ in parents if self.order[j] in scope]
             for k in [k for k, (p, q) in enumerate(zip(present, absent)) if p == 0.0 or q == 0.0]:
@@ -374,24 +370,24 @@ class CompiledNetwork(NamedTuple):
 def row_prob(row: tuple, state: Sequence | Mapping, value=True) -> float:
     """P(node = ``value``) for one :class:`CompiledNetwork` row, given
     ``state`` indexed by row, whose entries for the row's parents are set
-    (truthy means present). A disease returns its prior or 1 - prior. Any
-    other node forms c = (1 - leak) * prod(1 - eta) over its present
-    parents and is present with p = 1 - c, except where p cancels to 0.0
-    while a present parent or the leak makes the exact value positive:
-    only a row whose ``head`` holds its leak and etas can, and p is then
-    :func:`one_minus_prod` of those. It is absent with 1 - p, or with c
+    (truthy means present). A disease, whose ``params`` are empty, returns
+    its prior or 1 - prior. Any other node forms c = (1 - leak) *
+    prod(1 - eta) over its present parents and is present with p = 1 - c,
+    or, where that cancels to 0.0, with :func:`one_minus_prod` of the leak
+    and the present parents' etas, which keeps the digits of a small leak
+    or eta and is 0.0 only when the exact value is. It is absent with 1 - p, or with c
     where that cancels to 0.0. This is the one place that decides it."""
-    head, base, parents = row
-    if head is True:
+    params, base, parents = row
+    if not params:
         return base if value else 1.0 - base
     for j, one_minus_eta in parents:
         if state[j]:
             base *= one_minus_eta
     p = 1.0 - base
-    if head and p == 0.0:
+    if p == 0.0:
         # a comprehension here would make ``state`` a cell, slowing every call
-        xs = [head[0]]
-        for (j, _), eta in zip(parents, head[1:]):
+        xs = [params[0]]
+        for (j, _), eta in zip(parents, params[1:]):
             if state[j]:
                 xs.append(eta)
         p = one_minus_prod(xs)

@@ -57,12 +57,13 @@ def eliminate_ips(net: Network, b: str) -> Network:
     its factor is exactly 1. Each successor's leak absorbs the eliminated
     node's leak exactly once. Nodes with no predecessors or no successors
     are simply removed (leak absorption still applies to any successors).
+    Like :func:`level_reduce`, it reads ``net.compiled`` first, so it
+    refuses an invalid network with the validity gate's ValidationError.
     """
+    net.compiled  # the validity gate
     node = net.node(b)
     if node.kind is not NodeKind.IPS:
         raise DomainError(f"{b!r} is a {node.kind.value} node, not an intermediate")
-    if net.edge(b, b) is not None:
-        raise DomainError(f"{b!r} feeds itself, so it cannot be eliminated")
     state = _Rewiring(net)
     state.eliminate(b)
     return state.network(net.name)

@@ -591,6 +591,20 @@ ERROR_CONTRACT = [
 ]
 
 
+def test_a_worker_that_cannot_start_is_one_internal_error_line(tmp_path, monkeypatch, capfd):
+    def no_fork():
+        raise BlockingIOError(11, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    path = tmp_path / "tiny.net"
+    path.write_text(MINIMAL, encoding="utf-8")
+    argv = ["experiment", str(path), "--cases", "4", "--seed", "1", "--jobs", "2"]
+    assert main([*argv, "-o", str(tmp_path / "out.csv")]) == 1
+    err = capfd.readouterr().err
+    detail = "cannot start a worker process: [Errno 11] Resource temporarily unavailable"
+    assert err == f"error:internal: {detail}\n"
+
+
 def test_error_contract_covers_every_subcommand():
     (commands,) = [
         action.choices

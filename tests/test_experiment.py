@@ -544,6 +544,37 @@ class TestForkJoin:
                 os._exit(3)
             return task
 
-        with pytest.raises(RuntimeError, match=r"wait status 768\b"):
+        with pytest.raises(NornetError, match=r"wait status 768\b") as raised:
             _fork_join(fn, [[1], [2]])
+        assert (raised.type, raised.value.code) == (NornetError, "internal")
+        _assert_no_child_left()
+
+    def test_a_failed_fork_closes_its_pipe_and_reaps_the_child_before_it(self, monkeypatch):
+        forks = []
+        real_fork = os.fork
+
+        def fork_once():
+            if forks:
+                raise BlockingIOError(11, "Resource temporarily unavailable")
+            forks.append(real_fork())
+            return forks[-1]
+
+        monkeypatch.setattr(os, "fork", fork_once)
+        open_fds = len(os.listdir("/proc/self/fd"))
+        with pytest.raises(NornetError, match="Resource temporarily unavailable") as raised:
+            _fork_join(lambda task: task, [[1], [2], [3]])
+        assert (raised.type, raised.value.code) == (NornetError, "internal")
+        assert len(forks) == 1
+        assert len(os.listdir("/proc/self/fd")) == open_fds
+        _assert_no_child_left()
+
+    def test_a_truncated_result_names_its_wait_status(self, monkeypatch):
+        # the children inherit the truncating dumps
+        real_dumps = experiment.pickle.dumps
+        monkeypatch.setattr(experiment.pickle, "dumps", lambda obj: real_dumps(obj)[:-2])
+        open_fds = len(os.listdir("/proc/self/fd"))
+        with pytest.raises(NornetError, match=r"wait status 0\b.*truncated") as raised:
+            _fork_join(lambda task: [task] * 100, [[1], [2], [3]])
+        assert (raised.type, raised.value.code) == (NornetError, "internal")
+        assert len(os.listdir("/proc/self/fd")) == open_fds
         _assert_no_child_left()

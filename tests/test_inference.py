@@ -624,12 +624,12 @@ def test_evidence_error_iff_the_exact_likelihood_is_zero(
             assert abs(Fraction(value) - exact) <= 1e-12
 
 
-def _per_cell_table(net, nid, scope, held, row=None):
+def _per_cell_table(net, nid, scope, held):
     """P(nid | parents) over ``scope`` with one ``row_prob`` call per cell,
-    every state bit set afresh; ``row`` stands in for nid's compiled row."""
+    every state bit set afresh."""
     compiled = net.compiled
     i = compiled.index[nid]
-    row = row or compiled.rows[i]
+    row = compiled.rows[i]
     want = []
     for idx in range(1 << len(scope)):
         state = [False] * len(compiled.rows)
@@ -679,7 +679,7 @@ def test_node_tables_equal_a_per_cell_row_prob_loop():
         # disease rows, unfixed and held at both values
         tables += [(d, {}) for d in diseases[:1]]
         tables += [(d, {d: value}) for d in diseases[:1] for value in (False, True)]
-        head, base, row_parents = net.compiled.rows[net.compiled.index["f"]]
+        _, base, row_parents = net.compiled.rows[net.compiled.index["f"]]
         for nid, fixed in tables:
             family = [*parents, nid] if nid == "f" else [nid]
             scope = tuple([v for v in family if v not in fixed])
@@ -693,9 +693,16 @@ def test_node_tables_equal_a_per_cell_row_prob_loop():
                     for value in (False, True)
                 ]
                 assert list(map(float.hex, got)) == list(map(float.hex, absent + present)), k
-            if nid == "f" and head:
-                plain = _per_cell_table(net, nid, scope, fixed, (False, base, row_parents))
-                cancelled += sum(a != b for a, b in zip(plain, want))
+            if nid == "f":
+                # the plain form: p = 1 - c, absent with 1 - p or else c
+                for idx, accurate in enumerate(want):
+                    state = {**fixed, **{v: (idx >> b) & 1 for b, v in enumerate(scope)}}
+                    c = base
+                    for j, one_minus_eta in row_parents:
+                        if state.get(net.compiled.order[j], False):
+                            c *= one_minus_eta
+                    p = 1.0 - c
+                    cancelled += accurate != (p if state["f"] else 1.0 - p or c)
     # the accurate forms took over in some cells
     assert cancelled > 100
 

@@ -16,6 +16,7 @@ from nornet import (
     absorb_leak,
     compose_serial,
     disease,
+    eliminate_ips,
     event_prob,
     finding,
     generate_cases,
@@ -31,7 +32,8 @@ from nornet import (
     sample_world,
     validate,
 )
-from nornet.model import row_prob
+from nornet import model
+from nornet.model import one_minus_prod, row_prob
 
 from conftest import chain_net, criterion_8_net
 
@@ -227,6 +229,7 @@ EVALUATORS = {
     "marginal": lambda net: marginal(net, "f"),
     "joint_prob": lambda net: joint_prob(net, dict.fromkeys(net.node_ids, False)),
     "level_reduce": level_reduce,
+    "eliminate_ips": lambda net: eliminate_ips(net, min(net.ids_of_kind(NodeKind.IPS))),
     "run_experiment": lambda net: run_experiment(net, 2, seed=1),
     "generate_cases": lambda net: generate_cases(net, 2, seed=1),
     "sample_world": lambda net: sample_world(net, 1),
@@ -374,15 +377,38 @@ class TestRowProb:
         certain = _star(1.0, [0.5]).compiled
         assert row_prob(certain.rows[certain.index["f"]], [True, True], False) == 0.0
 
-    def test_only_rows_that_can_cancel_take_the_accurate_form(self):
-        for fan in ((1, 2), (3, 4)):
-            heads = {row[0] for row in criterion_8_net(fan).compiled.rows}
-            assert heads == {True, False}
+    def test_only_rows_that_can_cancel_take_the_accurate_form(self, monkeypatch):
+        calls = []
+
+        def counted(xs):
+            calls.append(xs)
+            return one_minus_prod(xs)
+
+        monkeypatch.setattr(model, "one_minus_prod", counted)
         # 1 - 2**-53 is a double below 1.0, and 1 - 2**-54 rounds to 1.0
-        for x, marked in ((2.0**-53, False), (2.0**-54, True), (5e-324, True)):
-            for net in (_star(x, [0.5]), _star(0.0, [0.5, x])):
-                head = net.compiled.rows[net.compiled.index["f"]][0]
-                assert (head is not False) is marked
+        for x, reaches in ((2.0**-53, False), (2.0**-54, True), (5e-324, True)):
+            for net, on in ((_star(x, [0.5]), set()), (_star(0.0, [0.5, x]), {"d1"})):
+                calls.clear()
+                assert _row_prob(net, "f", on) == x
+                assert bool(calls) is reaches
+        # every row in every parent state, and every whole node table, of
+        # both criterion-8 networks and their reductions keeps the plain form;
+        # each row holds its leak and etas, or () for a disease, unmarked
+        calls.clear()
+        for fan in ((1, 2), (3, 4)):
+            full = criterion_8_net(fan)
+            for net in (full, level_reduce(full).reduced):
+                compiled = net.compiled
+                for nid, row in zip(compiled.order, compiled.rows):
+                    node = net.node(nid)
+                    etas = [eta for _, eta in net.parents_of(nid)]
+                    assert row[0] == (() if node.kind is NodeKind.DISEASE else (node.leak, *etas))
+                    js = [j for j, _ in row[2]]
+                    for bits in range(1 << len(js)):
+                        state = {j: (bits >> b) & 1 for b, j in enumerate(js)}
+                        assert row_prob(row, state) + row_prob(row, state, False) == 1.0
+                    compiled.table(nid, (*[compiled.order[j] for j in js], nid), {})
+        assert calls == []
         rng = random.Random(11)
         for _ in range(2000):
             xs = [rng.choice((1e-20, 1e-200, 5e-324, 2.0**-54, 0.5, rng.random() or 0.5))
@@ -410,6 +436,16 @@ class TestKindIndex:
             scan = tuple(n for n in net.nodes if n.kind is kind)
             assert scan and net.nodes_of_kind(kind) == scan
             assert tuple(net.ids_of_kind(kind)) == tuple(n.id for n in scan)
+
+
+class TestNetworkIdentity:
+    def test_a_network_never_equals_another_type(self):
+        net = chain_net()
+        assert net.__eq__(net.edges) is NotImplemented
+        assert net != net.edges and net != "chain"
+
+    def test_repr_names_the_network_and_counts_its_parts(self):
+        assert repr(chain_net()) == "Network('chain', 3 nodes, 2 edges)"
 
 
 class TestTopologicalOrder:

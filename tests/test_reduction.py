@@ -19,6 +19,7 @@ from nornet import (
     Network,
     NodeKind,
     SplitMix64,
+    ValidationError,
     absorb_leak,
     compose_serial,
     disease,
@@ -171,23 +172,22 @@ class TestEliminateIps:
         assert oracle.all_marginals(out)["c"] == pytest.approx(before, abs=1e-15)
 
     def test_invalid_networks(self):
-        # a cycle through b becomes a self-loop on c; a self-loop on b
-        # itself has no rewiring and is rejected
+        # a cycle through b, a self-loop on b and a leak out of range all
+        # fail the validity gate before any rewiring
         net = Network(
             "cycle",
             [disease("a", 0.2), ips("b", 0.1), ips("c", 0.2)],
             [Edge("a", "b", 0.5), Edge("c", "b", 0.5), Edge("b", "c", 0.4)],
         )
-        out = eliminate_ips(net, "b")
-        assert out.edge("c", "c").eta == 0.5 * 0.4
-        assert out.node("c").leak == absorb_leak(0.1, 0.4, 0.2)
         loop = Network(
             "loop",
             [disease("a", 0.2), ips("b"), finding("c", 0.0, 1)],
             [Edge("a", "b", 0.5), Edge("b", "b", 0.5), Edge("b", "c", 0.4)],
         )
-        with pytest.raises(DomainError):
-            eliminate_ips(loop, "b")
+        leak = Network("leak", [disease("a", 0.2), ips("b", 2.0)], [Edge("a", "b", 0.5)])
+        for invalid, code in ((net, "dag"), (loop, "dag"), (leak, "leak-range")):
+            with pytest.raises(ValidationError, match=code):
+                eliminate_ips(invalid, "b")
 
 
 class TestLevelReduce:
