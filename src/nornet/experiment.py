@@ -63,7 +63,7 @@ def generate_cases(
     net.require_valid()
     if n_cases < 1:
         raise DomainError(f"n_cases must be at least 1, got {n_cases}")
-    diseases = [n.id for n in net.nodes_of_kind(NodeKind.DISEASE)]
+    diseases = net.ids_of_kind(NodeKind.DISEASE)
     findings = net.nodes_of_kind(NodeKind.FINDING)
     if require_positive and all(n.prior == 0.0 for n in net.nodes_of_kind(NodeKind.DISEASE)):
         raise ExhaustionError("require_positive with all-zero disease priors")
@@ -169,7 +169,6 @@ def run_experiment(
     report = level_reduce(full)
     reduced = report.reduced
     cases = generate_cases(full, n_cases, seed)
-    diseases = sorted(n.id for n in full.nodes_of_kind(NodeKind.DISEASE))
 
     tasks = [[case.cumulative_evidence(phase) for phase in PHASES] for case in cases]
     # One query engine per network for this call; each holds its network,
@@ -190,7 +189,7 @@ def run_experiment(
     for phase in PHASES:
         pooled_two: list[float] = []
         pooled_three: list[float] = []
-        for did in diseases:
+        for did in full.ids_of_kind(NodeKind.DISEASE):
             tp_two, tp_three, fp_two, fp_three = [], [], [], []
             for case, per_phase in zip(cases, results):
                 full_post, reduced_post = per_phase[phase - 1]
@@ -202,36 +201,24 @@ def run_experiment(
                     fp_two.append(reduced_post[did])
             pooled_two.extend(tp_two)
             pooled_three.extend(tp_three)
-            t, df, s95, s975 = _paired_log_odds_t(tp_two, tp_three)
             cells.append(
                 CellStats(
                     phase=phase,
                     disease=did,
                     n_present=len(tp_two),
                     n_absent=len(fp_two),
-                    mean_tp_two=_mean(tp_two),
-                    mean_tp_three=_mean(tp_three),
                     mean_fp_two=_mean(fp_two),
                     mean_fp_three=_mean(fp_three),
-                    t_stat=t,
-                    df=df,
-                    sig95=s95,
-                    sig975=s975,
+                    **_paired(tp_two, tp_three),
                 )
             )
-        t, df, s95, s975 = _paired_log_odds_t(pooled_two, pooled_three)
         abs_diffs = [abs(x - y) for x, y in zip(pooled_two, pooled_three)]
         phase_rows.append(
             PhaseStats(
                 phase=phase,
                 n_pairs=len(pooled_two),
-                mean_tp_two=_mean(pooled_two),
-                mean_tp_three=_mean(pooled_three),
                 mean_abs_diff=_mean(abs_diffs),
-                t_stat=t,
-                df=df,
-                sig95=s95,
-                sig975=s975,
+                **_paired(pooled_two, pooled_three),
             )
         )
 
@@ -321,16 +308,23 @@ def _mean(values: list[float]) -> float | None:
 _LOG_ODDS_NOISE_FLOOR = 1e-9
 
 
-def _paired_log_odds_t(two: list[float], three: list[float]):
+def _paired(two: list[float], three: list[float]) -> dict:
+    """The fields of a cell and a phase row from the paired present-case
+    posteriors ``two`` (reduced network) and ``three`` (full), with t as
+    :class:`CellStats` gives it, 0.0 and p taken as 1 below the noise floor."""
+    fields = dict(mean_tp_two=_mean(two), mean_tp_three=_mean(three))
+    fields.update(t_stat=None, df=None, sig95=None, sig975=None)
     if len(two) < 2:
-        return None, None, None, None
-    lo_two = [log_odds(p) for p in two]
-    lo_three = [log_odds(p) for p in three]
+        return fields
+    lo_two = [log_odds(x) for x in two]
+    lo_three = [log_odds(x) for x in three]
     if max(abs(a - b) for a, b in zip(lo_two, lo_three)) < _LOG_ODDS_NOISE_FLOOR:
-        return 0.0, len(two) - 1, False, False
-    try:
-        t, df = paired_t(lo_two, lo_three)
-    except DegenerateVarianceError:
-        return None, None, None, None
-    p = two_sided_p(t, df)
-    return t, df, p < 0.05, p < 0.025
+        t, df, p = 0.0, len(two) - 1, 1.0
+    else:
+        try:
+            t, df = paired_t(lo_two, lo_three)
+        except DegenerateVarianceError:
+            return fields
+        p = two_sided_p(t, df)
+    fields.update(t_stat=t, df=df, sig95=p < 0.05, sig975=p < 0.025)
+    return fields

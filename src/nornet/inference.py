@@ -105,7 +105,8 @@ def _prune_barren(net: Network, needed: set[str]) -> tuple[str, ...]:
 def _enum_query(net, kept_order, fixed, track):
     """Depth-first over the kept rows only. The state spans every row, but
     rows outside ``kept_order`` are never read: barren pruning keeps every
-    ancestor of a kept node."""
+    ancestor of a kept node. It recurses once per kept node, so more kept
+    nodes than Python's recursion limit allows is a DomainError."""
     index, rows = net.compiled.index, net.compiled.rows
     steps = [(index[nid], fixed.get(nid)) for nid in kept_order]
     n = len(steps)
@@ -138,7 +139,13 @@ def _enum_query(net, kept_order, fixed, track):
             if nw != 0.0:
                 rec(k + 1, nw)
 
-    rec(0, 1.0)
+    try:
+        rec(0, 1.0)
+    except RecursionError:
+        raise DomainError(
+            f"enumeration recurses once per kept node and cannot take {n} kept "
+            "nodes: the query is deeper than Python's recursion limit"
+        ) from None
     return total, dict(zip(track, masses))
 
 
@@ -337,8 +344,9 @@ def posterior(
 ) -> PosteriorResult:
     """Exact P(disease present | evidence) for every disease.
 
-    Evidence may assign finding nodes only. With ``conjunction`` set, the
-    result also carries P(all listed nodes present | evidence).
+    Evidence may assign finding nodes only. With ``conjunction`` set to an
+    iterable of ids, or to one id as a ``str``, the result also carries
+    P(all listed nodes present | evidence).
     """
     return _posterior(_Elimination(net), evidence, conjunction, method)
 
@@ -354,7 +362,7 @@ def _posterior(cache, evidence, conjunction, method):
     posteriors = {d: _clamp01(masses[d] / total) for d in cache.diseases}
     conj_value = None
     if conjunction is not None:
-        conj = sorted(set(conjunction))
+        conj = sorted({conjunction} if isinstance(conjunction, str) else set(conjunction))
         for nid in conj:
             net.node(nid)
             if nid in fixed and not fixed[nid]:

@@ -2,6 +2,7 @@ import argparse
 import dataclasses
 import os
 import random
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -539,13 +540,21 @@ CONTRACT_FILES = {
         "edge d1 f1 eta=1\n"
         "edge d2 f1 eta=0.5\n"
     ),
+    # 1,200 findings of two diseases: enumeration recurses once per kept
+    # node, past Python's recursion limit
+    "star": "nornet 1 star\nnode d1 disease leak=0 prior=0.1\nnode d2 disease leak=0 prior=0.2\n"
+    + "".join(
+        f"node f{k} finding leak=0.01 phase=1\nedge d1 f{k} eta=0.5\nedge d2 f{k} eta=0.5\n"
+        for k in range(1200)
+    ),
 }
 GEN = ["gen", "--diseases", "2", "--ips", "1", "--findings", "4", "--seed", "1"]
 SAMPLE = ["--cases", "4", "--seed", "1"]
 RUN = SAMPLE + ["--jobs", "1"]
 # (argv, error class). In argv, {name} is a file of CONTRACT_FILES, {missing}
-# a path that does not exist, {out} a writable path and {unwritable} a path
-# in a directory that does not exist. ``validate`` on an invalid network
+# a path that does not exist, {out} a writable path, {unwritable} a path
+# in a directory that does not exist and {star_evidence} every finding of
+# {star}, every third present. ``validate`` on an invalid network
 # lists its violations instead (TestValidateCommand).
 ERROR_CONTRACT = [
     (["validate", "{missing}"], "io"),
@@ -568,6 +577,7 @@ ERROR_CONTRACT = [
     (["infer", "{tiny}", "--conjunction", "x9"], "domain"),
     (["infer", "{tiny}", "--evidence", "f1=0", "--conjunction", "f1"], "domain"),
     (["infer", "{no_disease}", "--evidence", "f1=1"], "evidence"),
+    (["infer", "{star}", "--evidence", "{star_evidence}"], "domain"),
     (["sample", "{missing}", *SAMPLE, "-o", "{out}"], "io"),
     (["sample", "{undecodable}", *SAMPLE, "-o", "{out}"], "io"),
     (["sample", "{malformed}", *SAMPLE, "-o", "{out}"], "parse"),
@@ -614,6 +624,19 @@ def test_error_contract_covers_every_subcommand():
     assert {argv[0] for argv, _ in ERROR_CONTRACT} == set(commands)
 
 
+def test_readme_lists_every_error_class():
+    # README's "Exit codes and errors" section gives each class as a code
+    # span followed by its meaning in parentheses
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("### Exit codes and errors", 1)[1].split("\n## ", 1)[0]
+
+    def codes(cls):
+        package = [sub for sub in cls.__subclasses__() if sub.__module__.startswith("nornet.")]
+        return {cls.code}.union(*map(codes, package))
+
+    assert sorted(re.findall(r"`(\w+)`\s+\(", section)) == sorted(codes(nornet.NornetError))
+
+
 @pytest.mark.parametrize(
     "argv,error_class", ERROR_CONTRACT, ids=[" ".join(a) for a, _ in ERROR_CONTRACT]
 )
@@ -622,6 +645,7 @@ def test_error_contract(argv, error_class, tmp_path, capfd):
         "missing": tmp_path / "nope.net",
         "out": tmp_path / "out",
         "unwritable": tmp_path / "no-such-dir" / "out",
+        "star_evidence": ",".join(f"f{k}={int(k % 3 == 0)}" for k in range(1200)),
     }
     for name, text in CONTRACT_FILES.items():
         paths[name] = tmp_path / f"{name}.net"

@@ -142,6 +142,12 @@ class TestPosterior:
         expected /= oracle.event_prob(net, {"f0": True})
         assert result.conjunction == pytest.approx(expected, abs=1e-12)
 
+    def test_a_str_conjunction_is_one_id(self):
+        net = fork_net(p=(0.5, 0.5), q=(0.5,), priors=(0.3, 0.3))
+        result = posterior(net, {"f0": True}, conjunction="d0")
+        assert result.conjunction == posterior(net, {"f0": True}, conjunction=["d0"]).conjunction
+        assert result.conjunction == pytest.approx(result.posteriors["d0"], abs=1e-15)
+
     def test_evidence_on_non_finding_rejected(self):
         # a disease and an intermediate, each beside a finding
         net = chain_net()
@@ -326,6 +332,18 @@ class TestEngineAgreement:
         # enumeration has no such cap
         result = posterior(net, {"f": True}, method="enumeration")
         assert 0.0 < result.evidence_likelihood < 1.0
+
+    @pytest.mark.parametrize("method", ["enumeration", "auto"])
+    def test_enumeration_past_the_recursion_limit_is_a_domain_error(self, method):
+        # 2 diseases and 1,200 findings, every third present: auto enumerates
+        # its 2 unobserved nodes, one recursion level per kept node
+        nodes = [disease("d1", 0.1), disease("d2", 0.2)]
+        nodes += [finding(f"f{k}", 0.01, 1) for k in range(1200)]
+        edges = [Edge(d, f"f{k}", 0.5) for k in range(1200) for d in ("d1", "d2")]
+        net = Network("star", nodes, edges)
+        evidence = {f"f{k}": k % 3 == 0 for k in range(1200)}
+        with pytest.raises(DomainError, match="cannot take 1202 kept nodes"):
+            posterior(net, evidence, method=method)
 
     def test_auto_dispatch_crosses_threshold(self, monkeypatch):
         # the two engines differ in the last bits here, so exact equality

@@ -208,6 +208,12 @@ class TestLevelReduce:
         assert report.param_count_original == 5
         assert report.param_count_reduced == 6
 
+    @pytest.mark.parametrize("fan,counts", [((1, 2), (89, 86)), ((3, 4), (116, 120))])
+    def test_criterion_8_parameter_counts(self, fan, counts):
+        # the reduction is smaller at fan 1..2 but larger at fan 3..4
+        report = level_reduce(criterion_8_net(fan))
+        assert (report.param_count_original, report.param_count_reduced) == counts
+
     def test_ips_chain_composes_through(self):
         net = Network(
             "ipschain",
